@@ -738,7 +738,22 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    ctx = ExperimentContext.prepare(_setup(args))
+    overrides = dict(
+        checkpoint_policy=args.policy,
+        placement=args.placement,
+        topology=args.topology,
+        negotiation_mode=args.negotiation_mode,
+        failure_jump_epsilon=args.jump_epsilon,
+        event_loop=args.event_loop,
+    )
+    try:
+        ctx = ExperimentContext.prepare(_setup(args))
+        # Build the point's config once up front so a bad parameter is a
+        # one-line usage error, not a traceback from inside the run.
+        ctx.config(args.accuracy, args.user_threshold, **overrides)
+    except ValueError as exc:
+        print(f"probqos run: error: {exc}", file=sys.stderr)
+        return 2
     registry = sampler = None
     spans = None
     audit_report = None
@@ -768,12 +783,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 recorder=builder,
                 audit=audit,
                 profiler=profiler,
-                checkpoint_policy=args.policy,
-                placement=args.placement,
-                topology=args.topology,
-                negotiation_mode=args.negotiation_mode,
-                failure_jump_epsilon=args.jump_epsilon,
-                event_loop=args.event_loop,
+                **overrides,
             )
         finally:
             if trace_stream is not None:
@@ -782,16 +792,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spans = result.spans
         audit_report = result.audit
     else:
-        metrics = ctx.run_point(
-            args.accuracy,
-            args.user_threshold,
-            checkpoint_policy=args.policy,
-            placement=args.placement,
-            topology=args.topology,
-            negotiation_mode=args.negotiation_mode,
-            failure_jump_epsilon=args.jump_epsilon,
-            event_loop=args.event_loop,
-        )
+        metrics = ctx.run_point(args.accuracy, args.user_threshold, **overrides)
     pairs = [
         ("QoS", f"{metrics.qos:.4f}"),
         ("Avg utilization", f"{metrics.utilization:.4f}"),

@@ -59,7 +59,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -71,11 +70,9 @@ from typing import (
 )
 
 from repro.cluster.nodeset import NodeSet
+from repro.cluster.ranking import NodeScorer, best_nodes
 from repro.obs.prof import NULL_PROFILER, Profiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-
-#: Scoring callback: (node, start, end) -> sort key; lower is preferred.
-NodeScorer = Callable[[int, float, float], float]
 
 #: What ``find_slot`` returns for the chosen partition: a run-length
 #: :class:`NodeSet` on the scorerless path, a sorted list when a scorer
@@ -683,9 +680,10 @@ class ReservationLedger:
             duration: Window length in seconds.
             scorer: Optional ``(node, start, end) -> key``; lower keys are
                 preferred (the fault-aware scheduler passes predicted
-                per-node failure probability here).  Ties and the no-scorer
-                case fall back to ascending node index, keeping placement
-                deterministic.
+                per-node failure probability here), ranked by
+                :func:`~repro.cluster.ranking.best_nodes`.  Ties and the
+                no-scorer case fall back to ascending node index, keeping
+                placement deterministic.
 
         Returns:
             ``(start, nodes)`` — ``nodes`` is a :class:`NodeSet` on the
@@ -736,7 +734,7 @@ class ReservationLedger:
                 continue
             free = self.free_nodes_set(start, start + duration)
             if len(free) >= size:
-                chosen = self._select(free, size, start, start + duration, scorer)
+                chosen, _ = best_nodes(free, size, start, start + duration, scorer)
                 if obs:
                     self._record_find_slot(probes, rejects)
                 return start, chosen
@@ -865,19 +863,6 @@ class ReservationLedger:
             i = bisect.bisect_left(booked, node)
             if i < len(booked) and booked[i] == node:
                 yield node
-
-    def _select(
-        self,
-        free: Sequence[int],
-        size: int,
-        start: float,
-        end: float,
-        scorer: Optional[NodeScorer],
-    ) -> List[int]:
-        if scorer is None:
-            return list(free[:size])
-        scored = sorted(free, key=lambda n: (scorer(n, start, end), n))
-        return sorted(scored[:size])
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self._n:

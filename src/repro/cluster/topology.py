@@ -16,18 +16,39 @@ import abc
 from typing import List, Optional, Sequence
 
 from repro.cluster.nodeset import NodeSet
-from repro.cluster.reservations import NodeScorer
+from repro.cluster.ranking import NodeScorer, best_nodes
+from repro.obs.prof import NULL_PROFILER, Profiler
+from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
 
 class Topology(abc.ABC):
-    """Allocation-shape constraint over node indexes ``0..N-1``."""
+    """Allocation-shape constraint over node indexes ``0..N-1``.
 
-    def __init__(self, node_count: int) -> None:
+    Args:
+        node_count: Cluster width ``N``.
+        registry: Optional obs registry; when live, the flat topology
+            counts the nodes its ranking scored under
+            ``scheduling.placement.nodes_scored``.
+        profiler: Optional hierarchical profiler; when live, every
+            selection runs inside the ``scheduling.placement.select`` zone.
+    """
+
+    def __init__(
+        self,
+        node_count: int,
+        registry: Optional[MetricsRegistry] = None,
+        profiler: Optional[Profiler] = None,
+    ) -> None:
         if node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {node_count}")
         self.node_count = node_count
+        registry = registry if registry is not None else NULL_REGISTRY
+        self._obs = registry.enabled
+        self._c_nodes_scored = registry.counter("scheduling.placement.nodes_scored")
+        profiler = profiler if profiler is not None else NULL_PROFILER
+        self._prof = profiler.enabled
+        self._z_select = profiler.zone("scheduling.placement.select")
 
-    @abc.abstractmethod
     def select_partition(
         self,
         free_nodes: Sequence[int],
@@ -54,18 +75,33 @@ class Topology(abc.ABC):
             partition exists (even though enough nodes may be free, their
             *shape* may not fit).
         """
+        if not self._prof:
+            return self._select(free_nodes, size, start, end, scorer)
+        with self._z_select:
+            return self._select(free_nodes, size, start, end, scorer)
 
-
-class FlatTopology(Topology):
-    """All-to-all network: every node subset is a valid partition."""
-
-    def select_partition(
+    @abc.abstractmethod
+    def _select(
         self,
         free_nodes: Sequence[int],
         size: int,
         start: float,
         end: float,
-        scorer: Optional[NodeScorer] = None,
+        scorer: Optional[NodeScorer],
+    ) -> Optional[Sequence[int]]:
+        """:meth:`select_partition` without the profiling zone."""
+
+
+class FlatTopology(Topology):
+    """All-to-all network: every node subset is a valid partition."""
+
+    def _select(
+        self,
+        free_nodes: Sequence[int],
+        size: int,
+        start: float,
+        end: float,
+        scorer: Optional[NodeScorer],
     ) -> Optional[Sequence[int]]:
         if len(free_nodes) < size:
             return None
@@ -75,8 +111,10 @@ class FlatTopology(Topology):
             if isinstance(free_nodes, NodeSet):
                 return free_nodes[:size]
             return list(free_nodes[:size])
-        ranked = sorted(free_nodes, key=lambda n: (scorer(n, start, end), n))
-        return sorted(ranked[:size])
+        chosen, scored = best_nodes(free_nodes, size, start, end, scorer)
+        if self._obs:
+            self._c_nodes_scored.inc(scored)
+        return chosen
 
 
 class RingTopology(Topology):
@@ -87,13 +125,13 @@ class RingTopology(Topology):
     effect the paper credits for SDSC's extra "temporal fragmentation".
     """
 
-    def select_partition(
+    def _select(
         self,
         free_nodes: Sequence[int],
         size: int,
         start: float,
         end: float,
-        scorer: Optional[NodeScorer] = None,
+        scorer: Optional[NodeScorer],
     ) -> Optional[List[int]]:
         if len(free_nodes) < size:
             return None
@@ -134,8 +172,14 @@ class MeshTopology(Topology):
             (i.e. the most square arrangement).
     """
 
-    def __init__(self, node_count: int, width: Optional[int] = None) -> None:
-        super().__init__(node_count)
+    def __init__(
+        self,
+        node_count: int,
+        width: Optional[int] = None,
+        registry: Optional[MetricsRegistry] = None,
+        profiler: Optional[Profiler] = None,
+    ) -> None:
+        super().__init__(node_count, registry=registry, profiler=profiler)
         if width is None:
             width = 1
             for candidate in range(1, int(node_count**0.5) + 1):
@@ -158,13 +202,13 @@ class MeshTopology(Topology):
         shapes.sort()
         return [(h, w) for _, _, h, w in shapes]
 
-    def select_partition(
+    def _select(
         self,
         free_nodes: Sequence[int],
         size: int,
         start: float,
         end: float,
-        scorer: Optional[NodeScorer] = None,
+        scorer: Optional[NodeScorer],
     ) -> Optional[List[int]]:
         if len(free_nodes) < size:
             return None
@@ -191,9 +235,15 @@ class MeshTopology(Topology):
         return best
 
 
-def topology_by_name(name: str, node_count: int) -> Topology:
+def topology_by_name(
+    name: str,
+    node_count: int,
+    registry: Optional[MetricsRegistry] = None,
+    profiler: Optional[Profiler] = None,
+) -> Topology:
     """Factory: ``"flat"`` (paper default), ``"ring"`` or ``"mesh"``
-    (BG/L-style contiguity constraints)."""
+    (BG/L-style contiguity constraints); instruments as for
+    :class:`Topology`."""
     builders = {"flat": FlatTopology, "ring": RingTopology, "mesh": MeshTopology}
     try:
         builder = builders[name.lower()]
@@ -201,4 +251,4 @@ def topology_by_name(name: str, node_count: int) -> Topology:
         raise KeyError(
             f"unknown topology {name!r}; available: {sorted(builders)}"
         ) from None
-    return builder(node_count)
+    return builder(node_count, registry=registry, profiler=profiler)

@@ -8,14 +8,18 @@ predictor queries, almost all recomputing the same per-node facts
 (BENCH_ledger.json showed a 448/126,300 hit rate before this module).
 
 :class:`AnalyticalEvaluator` wraps a predictor and answers the same
-queries from cached per-node per-window terms:
+queries analytically:
 
 * **Trace predictors** (the paper's simulation device) get an exact fast
-  path: a :class:`~repro.prediction.index.FailureIntervalIndex` over the
-  detectable failures answers set- and node-level queries in O(log f)
-  per node with *bit-identical* floats — the first-detectable-failure
-  semantics, including the ``(time, event_id)`` tie-break, are
-  reproduced, not approximated.
+  path: a :class:`~repro.prediction.index.FailureIntervalIndex` scans each
+  candidate window once and answers the set-level promise, the jump
+  target, the pruning bound and the per-node scores from that scan with
+  *bit-identical* floats — the first-detectable-failure semantics,
+  including the ``(time, event_id)`` tie-break, are reproduced, not
+  approximated.  :meth:`AnalyticalEvaluator.window_terms` exposes the
+  window's dirty nodes, so fault-aware placement ranks O(dirty + size)
+  nodes instead of scoring every free one (see
+  :mod:`repro.cluster.ranking`).
 * **Survival-decomposable predictors** (e.g. the online predictor, whose
   set probability is the independent combination of per-node hazards)
   get a memoised path: per-(node, window) terms from
@@ -28,9 +32,9 @@ queries from cached per-node per-window terms:
   partitions; the oracle negotiation mode checks the agreement at
   runtime (see DESIGN.md for the tolerance contract).
 
-The term cache is *dialogue-scoped*: the ledger is never mutated while
-one dialogue enumerates offers, so every term computed for one offer is
-reusable for every later offer of the same dialogue.
+The memoised path's term cache is *dialogue-scoped*: the ledger is never
+mutated while one dialogue enumerates offers, so every term computed for
+one offer is reusable for every later offer of the same dialogue.
 :meth:`begin_dialogue` resets it.  The interval index is immutable and
 lives for the evaluator's lifetime.
 
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.cluster.ranking import WindowTerms
 from repro.obs.prof import NULL_PROFILER, Profiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.prediction.base import (
@@ -64,8 +69,9 @@ class AnalyticalEvaluator(Predictor):
             Nested evaluators are unwrapped, so wrapping is idempotent.
         node_count: Cluster width ``N`` (needed by the pruning bound to
             count clean nodes without enumerating them).
-        registry: Optional obs registry; when live, evaluations and term
-            cache traffic are counted under ``negotiation.fastpath.*``.
+        registry: Optional obs registry; when live, evaluations and the
+            memoised path's term-cache traffic are counted under
+            ``negotiation.fastpath.*``.
         profiler: Optional hierarchical profiler; when live, offer
             evaluations run inside the ``negotiation.fastpath.evaluate``
             zone and the backing interval index gets its
@@ -121,7 +127,7 @@ class AnalyticalEvaluator(Predictor):
         return self._index is not None
 
     def begin_dialogue(self) -> None:
-        """Reset the dialogue-scoped term cache.
+        """Reset the memoised path's dialogue-scoped term cache.
 
         Called by the negotiator before each offer enumeration; the cache
         is only guaranteed coherent while the ledger (and therefore the
@@ -134,16 +140,16 @@ class AnalyticalEvaluator(Predictor):
     # Cached terms
     # ------------------------------------------------------------------
     def _term(self, node: int, start: float, end: float) -> float:
+        if self._index is not None:
+            # The index memoises the whole window scan: nothing to cache.
+            return self._index.node_term(node, start, end)
         key = (node, start, end)
         cached = self._terms.get(key)
         if cached is not None:
             if self._obs:
                 self._c_term_hits.inc()
             return cached
-        if self._index is not None:
-            value = self._index.node_term(node, start, end)
-        else:
-            value = self._predictor.node_failure_term(node, start, end)
+        value = self._predictor.node_failure_term(node, start, end)
         self._terms[key] = value
         if self._obs:
             self._c_term_misses.inc()
@@ -177,6 +183,18 @@ class AnalyticalEvaluator(Predictor):
         if end <= start:
             return 0.0
         return self._term(node, start, end)
+
+    @property
+    def window_terms(self) -> Optional[WindowTerms]:
+        """The window's dirty terms, when the evaluator knows them: a
+        ``(start, end) -> [(node, p), ...]`` listing every node whose
+        :meth:`node_failure_probability` in the window can be nonzero
+        (every other node scores exactly 0).
+
+        Only the exact trace-backed path knows them without asking every
+        node; for other predictors this is None.
+        """
+        return self._index.window_terms if self._index is not None else None
 
     def predicted_failures(
         self, nodes: Iterable[int], start: float, end: float

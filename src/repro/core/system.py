@@ -292,7 +292,10 @@ class ProbabilisticQoSSystem:
             config.node_count, downtime=config.downtime, registry=self.registry,
             profiler=self.profiler,
         )
-        self.topology: Topology = topology_by_name(config.topology, config.node_count)
+        self.topology: Topology = topology_by_name(
+            config.topology, config.node_count, registry=self.registry,
+            profiler=self.profiler,
+        )
         # In analytical/oracle mode one shared evaluator answers every
         # prediction-shaped query the simulation makes — offer pricing,
         # placement scoring, checkpoint decisions, evacuation checks — so

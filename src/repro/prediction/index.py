@@ -1,24 +1,30 @@
 """Interval index over a trace predictor's detectable failures.
 
-The negotiation fast path (see :mod:`repro.core.fastpath`) needs three
-queries answered many times per dialogue, each over a different window:
+The negotiation fast path (see :mod:`repro.core.fastpath`) needs four
+queries answered many times per dialogue, all over the same candidate
+window:
 
 * the detectability ``p_x`` of the *first* detectable failure on a node
   set — exactly :meth:`~repro.prediction.trace.TracePredictor
-  .failure_probability`, the paper's retrieval semantics;
-* the per-node variant of the same (the fault-aware placement score);
+  .failure_probability`, the paper's retrieval semantics (the promise);
+* the same failure's time and node (the negotiation jump target);
+* the per-node variant (the fault-aware placement score), of which only
+  the window's *dirty* nodes — those with a detectable failure in it —
+  can be nonzero;
 * a sound upper bound on the promise *any* partition of a given size
-  could earn in a window (the candidate-pruning bound).
+  could earn in the window (the candidate-pruning bound).
 
-The trace predictor answers the first two by materialising every failure
-in the window and scanning it (``in_window`` allocates a merged, sorted
-list per query).  This index pre-filters the trace once — keeping only
-failures the predictor can actually see (``p_x <= a``) — and stores, per
-failing node, parallel arrays of ``(time, event_id, p_x)`` sorted by
-``(time, event_id)``.  Each query then reduces to one ``bisect`` per
-node: O(log f) with no allocation, and *bit-identical* results, because
-the ``(time, event_id)`` order is exactly the tie-break
-:meth:`~repro.failures.events.FailureTrace.in_window` applies.
+The trace predictor answers them by materialising every failure in the
+window and scanning it.  This index pre-filters the trace once — keeping
+only failures the predictor can actually see (``p_x <= a``) — into four
+compact parallel arrays (time, event id, node, ``p_x``) in the trace's
+global ``(time, event_id)`` order, which is exactly the tie-break
+:meth:`~repro.failures.events.FailureTrace.in_window` applies.  One scan
+of a window, :meth:`FailureIntervalIndex.window_firsts`, bisects to its
+start and records each dirty node's first failure; every query above is
+answered from that scan, which is memoised for the most recent window so
+the bound, the placement, the pricing and the jump of one candidate share
+it.  Results are *bit-identical* to the trace predictor's.
 
 Undetectable failures (``p_x > a``) are excluded at build time: the
 predictor cannot see them, so they can never influence a query result.
@@ -27,6 +33,8 @@ predictor cannot see them, so they can never influence a query result.
 from __future__ import annotations
 
 import bisect
+from array import array
+from itertools import islice
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.cluster.nodeset import NodeSet
@@ -38,7 +46,7 @@ if TYPE_CHECKING:
 
 
 class FailureIntervalIndex:
-    """Per-node sorted detectable-failure arrays with O(log f) lookups.
+    """Detectable failures in global time order, scanned once per window.
 
     Args:
         trace: The failure trace the predictor replays.
@@ -58,24 +66,23 @@ class FailureIntervalIndex:
         if not 0.0 <= accuracy <= 1.0:
             raise ValueError(f"accuracy must be in [0, 1], got {accuracy}")
         self._accuracy = float(accuracy)
-        times: Dict[int, List[float]] = {}
-        event_ids: Dict[int, List[int]] = {}
-        px: Dict[int, List[float]] = {}
-        # ``for_node`` preserves the trace's global (time, event_id) sort,
-        # so the per-node arrays inherit exactly the in_window scan order.
-        for node in trace.nodes:
-            for event in trace.for_node(node):
-                value = detectability[event.event_id]
-                if value <= self._accuracy:
-                    times.setdefault(node, []).append(event.time)
-                    event_ids.setdefault(node, []).append(event.event_id)
-                    px.setdefault(node, []).append(value)
-        self._times = times
-        self._event_ids = event_ids
-        self._px = px
-        #: Nodes carrying at least one detectable failure, ascending; every
-        #: other node is clean in every window and never needs scanning.
-        self._failing_nodes: List[int] = sorted(times)
+        # The trace iterates in its global (time, event_id) order, so the
+        # arrays inherit exactly the in_window scan order without a sort.
+        times, event_ids = array("d"), array("q")
+        nodes, px = array("q"), array("d")
+        for event in trace:
+            value = detectability[event.event_id]
+            if value <= accuracy:
+                times.append(event.time)
+                event_ids.append(event.event_id)
+                nodes.append(event.node)
+                px.append(value)
+        self._times, self._event_ids = times, event_ids
+        self._nodes, self._px = nodes, px
+        # One-window memo of window_firsts (the index is immutable, so it
+        # never goes stale).
+        self._window: Tuple[float, float] = (0.0, 0.0)
+        self._firsts: Dict[int, int] = {}
         # Profiling (repro.obs.prof): off until bind_profiler.
         self._prof = False
         self._z_query: Optional["Zone"] = None
@@ -98,47 +105,49 @@ class FailureIntervalIndex:
     @property
     def detectable_count(self) -> int:
         """Total detectable failures indexed."""
-        return sum(len(ts) for ts in self._times.values())
+        return len(self._times)
+
+    # ------------------------------------------------------------------
+    # The window scan
+    # ------------------------------------------------------------------
+    def window_firsts(self, start: float, end: float) -> Mapping[int, int]:
+        """Each dirty node's first detectable failure in ``[start, end)``.
+
+        Returns ``{node: position}`` with positions into the global arrays,
+        in ``(time, event_id)`` order of those first failures (dict
+        insertion order); empty for ``end <= start``.  The mapping is
+        shared with later calls for the same window: do not mutate it.
+        """
+        if (start, end) == self._window:
+            return self._firsts
+        firsts: Dict[int, int] = {}
+        if end > start:
+            times = self._times
+            lo = bisect.bisect_left(times, start)
+            hi = bisect.bisect_left(times, end, lo)
+            for i, node in enumerate(self._nodes[lo:hi], lo):
+                if node not in firsts:
+                    firsts[node] = i
+        self._window = (start, end)
+        self._firsts = firsts
+        return firsts
+
+    def window_terms(self, start: float, end: float) -> List[Tuple[int, float]]:
+        """``(node, p_x)`` of every dirty node's first detectable failure in
+        the window: the only nodes whose :meth:`node_term` can be nonzero."""
+        px = self._px
+        return [(node, px[i]) for node, i in self.window_firsts(start, end).items()]
 
     # ------------------------------------------------------------------
     # Point queries
     # ------------------------------------------------------------------
-    def _query_order(self, nodes: Iterable[int]) -> Iterable[int]:
-        """The cheaper side to iterate for a per-node scan over ``nodes``.
-
-        Only nodes carrying detectable failures can contribute to any
-        query, so when a run-length :class:`NodeSet` is wider than the
-        failing-node list the scan flips to ``failing ∩ nodes`` — on a
-        100k-node partition with a handful of dirty nodes that is a few
-        bisections instead of 100k dict probes.  Both orders are ascending
-        restrictions of the same set, so results are unchanged.
-        """
-        if isinstance(nodes, NodeSet) and len(self._failing_nodes) < len(nodes):
-            return [n for n in self._failing_nodes if n in nodes]
-        return nodes
-
-    def _node_first(
-        self, node: int, start: float, end: float
-    ) -> Optional[Tuple[float, int, float]]:
-        """``(time, event_id, p_x)`` of ``node``'s first detectable failure
-        in ``[start, end)``, or None if the node is clean there."""
-        times = self._times.get(node)
-        if not times:
-            return None
-        lo = bisect.bisect_left(times, start)
-        if lo == len(times) or times[lo] >= end:
-            return None
-        return times[lo], self._event_ids[node][lo], self._px[node][lo]
-
     def node_term(self, node: int, start: float, end: float) -> float:
         """``p_x`` of the node's first detectable failure in the window, or 0.
 
         Bit-identical to ``TracePredictor.node_failure_probability``.
         """
-        if end <= start:
-            return 0.0
-        first = self._node_first(node, start, end)
-        return first[2] if first is not None else 0.0
+        i = self.window_firsts(start, end).get(node)
+        return self._px[i] if i is not None else 0.0
 
     def first_detectable(
         self, nodes: Iterable[int], start: float, end: float
@@ -146,24 +155,31 @@ class FailureIntervalIndex:
         """``(time, event_id, p_x, node)`` of the set's earliest detectable
         failure in ``[start, end)``, minimised by ``(time, event_id)``.
 
-        ``(time, event_id)`` keys are unique across nodes, so the minimum
-        is independent of iteration order — which licenses the big-cluster
-        fast path: a wide run-length :class:`NodeSet` is intersected with
-        the (usually far shorter) failing-node list instead of being walked
-        member by member.
+        That is the first dirty node of the window scan that belongs to
+        ``nodes`` — equivalently, the member with the lowest array
+        position.  A :class:`NodeSet` (possibly 100k nodes wide) is probed
+        once per dirty node; other collections are walked once.
         """
-        if end <= start:
+        firsts = self.window_firsts(start, end)
+        if not firsts:
             return None
-        candidates = self._query_order(nodes)
-        best: Optional[Tuple[float, int, float, int]] = None
-        for node in candidates:
-            first = self._node_first(node, start, end)
-            if first is None:
-                continue
-            candidate = (first[0], first[1], first[2], node)
-            if best is None or candidate[:2] < best[:2]:
-                best = candidate
-        return best
+        best: Optional[int] = None
+        if isinstance(nodes, NodeSet):
+            for node, i in firsts.items():
+                if node in nodes:
+                    best = i
+                    break
+        else:
+            for node in nodes:
+                i = firsts.get(node)
+                if i is not None and (best is None or i < best):
+                    best = i
+        if best is None:
+            return None
+        return (
+            self._times[best], self._event_ids[best], self._px[best],
+            self._nodes[best],
+        )
 
     def failure_probability(
         self, nodes: Iterable[int], start: float, end: float
@@ -198,25 +214,14 @@ class FailureIntervalIndex:
         (``TracePredictor.predicted_failures`` semantics)."""
         if end <= start:
             return []
-        if isinstance(nodes, NodeSet):
-            ordered: Iterable[int] = self._query_order(nodes)
-        else:
-            ordered = sorted(set(nodes))
-        hits: List[Tuple[float, int, float, int]] = []
-        for node in ordered:
-            times = self._times.get(node)
-            if not times:
-                continue
-            lo = bisect.bisect_left(times, start)
-            hi = bisect.bisect_left(times, end)
-            for i in range(lo, hi):
-                hits.append(
-                    (times[i], self._event_ids[node][i], self._px[node][i], node)
-                )
-        hits.sort(key=lambda h: (h[0], h[1]))
+        members = nodes if isinstance(nodes, NodeSet) else set(nodes)
+        times, px = self._times, self._px
+        lo = bisect.bisect_left(times, start)
+        hi = bisect.bisect_left(times, end, lo)
         return [
-            PredictedFailure(time=t, node=n, probability=p)
-            for t, _, p, n in hits
+            PredictedFailure(time=times[i], node=node, probability=px[i])
+            for i, node in enumerate(self._nodes[lo:hi], lo)
+            if node in members
         ]
 
     # ------------------------------------------------------------------
@@ -242,24 +247,23 @@ class FailureIntervalIndex:
           lead a set that needs ``m`` dirty members), so the best promise
           is ``1 - min(x_1..x_{k-m+1})``.
 
-        Any achievable offer probability is ``<=`` this bound, for every
+        :meth:`window_firsts` lists the dirty nodes already in that time
+        order, so the bound is one ``min`` over a prefix of it.  Any
+        achievable offer probability is ``<=`` this bound, for every
         topology (supersets of ``size`` only add failures).
         """
         if end <= start:
             return 1.0
-        dirty: List[Tuple[float, int, float]] = []
-        for node in self._failing_nodes:
-            first = self._node_first(node, start, end)
-            if first is not None:
-                dirty.append(first)
-        clean = node_count - len(dirty)
-        deficit = size - clean
+        firsts = self.window_firsts(start, end)
+        dirty = len(firsts)
+        deficit = size - (node_count - dirty)
         if deficit <= 0:
             return 1.0
-        if deficit > len(dirty):
+        if deficit > dirty:
             # size exceeds the cluster: no partition exists at all.  Do not
             # prune — the probe path reports infeasibility naturally.
             return 1.0
-        dirty.sort(key=lambda d: (d[0], d[1]))
-        reachable = dirty[: len(dirty) - deficit + 1]
-        return 1.0 - min(d[2] for d in reachable)
+        px = self._px
+        return 1.0 - min(
+            px[i] for i in islice(firsts.values(), dirty - deficit + 1)
+        )

@@ -9,7 +9,9 @@ failure probability over the job's window and taking the best ``n_j``.
 Scorers are plain callables ``(node, start, end) -> float`` (lower is
 better) plugged into :meth:`ReservationLedger.find_slot` and
 :meth:`Topology.select_partition`; this keeps the policy choice orthogonal
-to the mechanics.
+to the mechanics.  The fault-aware scorer over an exact (trace-backed)
+evaluator is a :class:`~repro.cluster.ranking.WindowScorer`: it also lists
+the window's dirty nodes, so the ranking skips scoring the clean ones.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.cluster.reservations import NodeScorer
+from repro.cluster.ranking import NodeScorer, WindowScorer
+from repro.core.fastpath import AnalyticalEvaluator
 from repro.prediction.base import Predictor
 from repro.sim.rng import make_rng, stable_uniform
 
@@ -29,12 +32,17 @@ def fault_aware_scorer(predictor: Predictor) -> NodeScorer:
     With the trace predictor this steers jobs away from nodes carrying a
     *detectable* upcoming failure; undetectable failures (``p_x > a``) are
     invisible, which is exactly how prediction accuracy couples into
-    placement quality.
+    placement quality.  Over an exact evaluator the scorer also carries
+    the window's dirty terms (see :mod:`repro.cluster.ranking`).
     """
 
     def score(node: int, start: float, end: float) -> float:
         return predictor.node_failure_probability(node, start, end)
 
+    if isinstance(predictor, AnalyticalEvaluator):
+        window_terms = predictor.window_terms
+        if window_terms is not None:
+            return WindowScorer(score, window_terms)
     return score
 
 

@@ -17,9 +17,10 @@ from repro.core.fastpath import AnalyticalEvaluator
 from repro.core.negotiation import Negotiator
 from repro.core.system import ProbabilisticQoSSystem, SystemConfig
 from repro.core.users import RiskThresholdUser, SlackBoundedUser
-from repro.failures.events import FailureEvent, FailureTrace
+from repro.failures.events import FailureEvent, FailureTrace, RawEvent, Severity
 from repro.failures.generator import FailureModelSpec, generate_failure_trace
 from repro.obs.registry import MetricsRegistry
+from repro.prediction.online import OnlinePredictor
 from repro.prediction.trace import TracePredictor
 from repro.scheduling.placement import fault_aware_scorer
 from repro.workload.job import JobLog
@@ -102,16 +103,20 @@ class TestCounterSplit:
         assert counters(registry)["negotiation.dialogue.advisories"] == 1
 
     def test_fastpath_cache_counters_live(self):
-        # Mirror the system wiring: one shared evaluator answers both the
-        # offer pricing and the fault-aware placement scoring, so the
-        # dialogue-scoped term cache sees the scorer's per-node queries.
+        # The memoised path (a survival-decomposable predictor; here the
+        # online one) still routes placement through the dialogue term
+        # cache: one shared evaluator answers both the offer pricing and
+        # the fault-aware scoring, so the cache sees the scorer's per-node
+        # queries.
         registry = MetricsRegistry()
-        trace = generate_failure_trace(
-            30 * 86400.0, FailureModelSpec(nodes=8, rate_per_day=12.0), seed=5
-        )
+        log = [
+            RawEvent(time=(i + 1) * 600.0, node=i % 8, severity=Severity.ERROR)
+            for i in range(40)
+        ]
+        predictor = OnlinePredictor(log, health=None)
         ledger = ReservationLedger(8, registry=registry)
-        predictor = TracePredictor(trace, accuracy=1.0, seed=1)
         evaluator = AnalyticalEvaluator(predictor, 8, registry=registry)
+        assert not evaluator.exact
         negotiator = Negotiator(
             ledger,
             FlatTopology(8),
@@ -127,6 +132,41 @@ class TestCounterSplit:
         tally = counters(registry)
         assert tally["negotiation.fastpath.evaluations"] >= 1
         assert tally["negotiation.fastpath.term_cache_misses"] >= 1
+
+    def test_trace_backed_placement_scores_dirty_plus_size_nodes(self):
+        # Trace-backed placement asks the interval index for the window's
+        # dirty nodes instead of scoring every free node: with failures on
+        # 3 of 64 nodes, each 4-node selection ranks at most 3 + 4 nodes,
+        # and the term cache is never consulted.
+        registry = MetricsRegistry()
+        trace = FailureTrace(
+            [
+                FailureEvent(event_id=i + 1, time=(i + 1) * HOUR, node=i % 3)
+                for i in range(30)
+            ]
+        )
+        predictor = TracePredictor(trace, accuracy=1.0, seed=1)
+        evaluator = AnalyticalEvaluator(predictor, 64, registry=registry)
+        negotiator = Negotiator(
+            ReservationLedger(64, registry=registry),
+            FlatTopology(64, registry=registry),
+            predictor,
+            fault_aware_scorer(evaluator),
+            registry=registry,
+            mode="analytical",
+            evaluator=evaluator,
+        )
+        for job in range(5):
+            negotiator.negotiate(
+                job, size=4, duration=6 * HOUR, now=0.0,
+                user=RiskThresholdUser(0.9),
+            )
+        tally = counters(registry)
+        selections = tally["negotiation.dialogue.probes"]
+        assert selections >= 5
+        scored = tally["scheduling.placement.nodes_scored"]
+        assert 4 * selections <= scored <= (4 + 3) * selections
+        assert tally.get("negotiation.fastpath.term_cache_misses", 0) == 0
 
 
 class TestPruningSafety:

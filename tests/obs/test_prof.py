@@ -292,6 +292,18 @@ class TestEndToEndDeterminism:
         assert "sim.engine.dispatch.arrival" in report
         assert "Sim-time buckets" in report
 
+    def test_partition_selection_has_its_own_zone(self):
+        """Placement is timed inside the dialogue, not lumped into the
+        ``negotiation.dialogue.negotiate`` self time."""
+        snapshot = self._snapshot(_nasa_context())
+        stacks = [stack for stack, _ in walk_zones(snapshot)]
+        assert any(
+            stack[-2:] == (
+                "negotiation.dialogue.negotiate", "scheduling.placement.select"
+            )
+            for stack in stacks
+        )
+
     def test_null_path_never_touches_a_zone(self, monkeypatch):
         """Structural zero-cost guarantee: with no profiler attached, no
         zone is ever entered (the one-bool guards skip them entirely)."""

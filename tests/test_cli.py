@@ -63,6 +63,23 @@ class TestRun:
         assert code == 0
         assert "periodic" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--job-count", "0"], "job_count must be > 0"),
+            (["-a", "1.5"], "accuracy must be in [0,1]"),
+            (["-U", "-0.5"], "user_threshold must be in [0,1]"),
+        ],
+    )
+    def test_bad_parameters_are_one_line_usage_errors(self, capsys, argv, message):
+        code = main(["run", "--workload", "nasa", "--seed", "5", *argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("probqos run: error: ")
+        assert message in captured.err
+
 
 class TestFigureAndHeadline:
     def test_figure_7_small(self, capsys):
