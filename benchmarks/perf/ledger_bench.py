@@ -94,7 +94,7 @@ PRESETS: Dict[str, Dict] = {
         scale_jobs=2_000, scale_reserve_ops=2_000,
     ),
     "smoke": dict(
-        nodes=32, bookings=40, queries=15, dialogue_jobs=8, nasa_jobs=0,
+        nodes=32, bookings=40, queries=15, dialogue_jobs=8, nasa_jobs=100,
         grid_jobs=50, grid_accuracies=3, grid_users=(0.9,), pool_jobs=2,
         fastpath_jobs=12,
         scale_node_counts=(1_000,),

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.experiments.config import ExperimentSetup, bench_seed
 from repro.experiments.figures import FigureCatalog
@@ -601,6 +601,27 @@ def _write_audit_report(args: argparse.Namespace, report) -> None:
     )
 
 
+def _usage_error(args: argparse.Namespace, message: object) -> int:
+    """Report a bad parameter as one stderr line; returns exit code 2."""
+    print(f"probqos {args.command}: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _job_count_problem(args: argparse.Namespace) -> Optional[str]:
+    """Why ``--job-count`` cannot build a workload, or None."""
+    if args.job_count < 1:
+        return f"--job-count must be >= 1, got {args.job_count}"
+    return None
+
+
+def _figure_problem(numbers: Sequence[int]) -> Optional[str]:
+    """Why a figure number is not one of the paper's, or None."""
+    for number in numbers:
+        if not 1 <= number <= 12:
+            return f"the paper has figures 1-12; got {number}"
+    return None
+
+
 def _setup(args: argparse.Namespace) -> ExperimentSetup:
     seed = args.seed if args.seed is not None else bench_seed()
     return ExperimentSetup(
@@ -624,6 +645,9 @@ def _report_cache(cache) -> None:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    problem = _figure_problem([args.number]) or _job_count_problem(args)
+    if problem:
+        return _usage_error(args, problem)
     registry = None
     if args.obs:
         from repro.obs.registry import MetricsRegistry
@@ -709,8 +733,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     elif args.number == 2:
         print(format_pairs("Table 2: Simulation parameters", table_2()))
     else:
-        print(f"the paper has tables 1 and 2; got {args.number}", file=sys.stderr)
-        return 2
+        return _usage_error(args, f"the paper has tables 1 and 2; got {args.number}")
     if args.trace:
         # Tables run no traced simulations; an empty (but valid) JSONL file
         # still lands so batch pipelines can pass one flag set everywhere.
@@ -752,8 +775,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # one-line usage error, not a traceback from inside the run.
         ctx.config(args.accuracy, args.user_threshold, **overrides)
     except ValueError as exc:
-        print(f"probqos run: error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(args, exc)
     registry = sampler = None
     spans = None
     audit_report = None
@@ -835,6 +857,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_headline(args: argparse.Namespace) -> int:
+    problem = _job_count_problem(args)
+    if problem:
+        return _usage_error(args, problem)
     ctx = ExperimentContext.prepare(_setup(args))
     catalog = FigureCatalog(**{args.workload: ctx})
     print(format_headline(catalog.headline_comparison(args.workload)))
@@ -845,17 +870,29 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
     from repro.core.system import ProbabilisticQoSSystem, SystemConfig
     from repro.workload.job import Job, JobLog
 
+    # The target is a probability the suggestion must reach: outside
+    # (0, 1] no deadline can satisfy it, whatever the placement.
+    if not 0.0 < args.target <= 1.0:
+        return _usage_error(args, f"--target must be in (0, 1], got {args.target:g}")
+    if args.size < 1:
+        return _usage_error(args, f"--size must be >= 1, got {args.size}")
+    if not args.runtime > 0.0:
+        return _usage_error(args, f"--runtime must be > 0, got {args.runtime:g}")
+    problem = _job_count_problem(args)
+    if problem:
+        return _usage_error(args, problem)
     setup = _setup(args)
-    ctx = ExperimentContext.prepare(
-        setup, jobs=args.jobs, cache=_point_cache(args)
-    )
-    config = SystemConfig(
-        accuracy=args.accuracy,
-        seed=setup.seed,
-        negotiation_mode=args.negotiation_mode,
-        failure_jump_epsilon=args.jump_epsilon,
-        event_loop=args.event_loop,
-    )
+    try:
+        config = SystemConfig(
+            accuracy=args.accuracy,
+            seed=setup.seed,
+            negotiation_mode=args.negotiation_mode,
+            failure_jump_epsilon=args.jump_epsilon,
+            event_loop=args.event_loop,
+        )
+    except ValueError as exc:
+        return _usage_error(args, exc)
+    ctx = ExperimentContext.prepare(setup, jobs=args.jobs, cache=_point_cache(args))
     system = ProbabilisticQoSSystem(config, JobLog([], name="empty"), ctx.failures)
     probe = Job(job_id=1, arrival_time=0.0, size=args.size, runtime=args.runtime)
     padded = probe.padded_runtime(
@@ -900,14 +937,20 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from repro.workload.archive import ensure_bundle
     from repro.workload.synthetic import log_by_name
 
+    problem = _job_count_problem(args)
+    if problem:
+        return _usage_error(args, problem)
     setup = _setup(args)
     probe = log_by_name(
         setup.workload, seed=setup.seed, job_count=args.job_count
     )
     horizon = estimate_horizon(probe, 128)
-    log, failures, manifest = ensure_bundle(
-        args.directory, setup.workload, args.job_count, setup.seed, horizon
-    )
+    try:
+        log, failures, manifest = ensure_bundle(
+            args.directory, setup.workload, args.job_count, setup.seed, horizon
+        )
+    except OSError as exc:
+        return _usage_error(args, f"cannot write bundle: {exc}")
     print(
         f"bundle written to {args.directory}: {manifest.job_count} jobs, "
         f"{manifest.failure_count} failures, seed {manifest.seed}"
@@ -922,6 +965,13 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
     from repro.failures.generator import FailureModelSpec, generate_failure_trace
     from repro.workload.synthetic import log_by_name
 
+    problem = _job_count_problem(args)
+    if args.nodes < 1:
+        problem = f"--nodes must be >= 1, got {args.nodes}"
+    elif args.width < 1:
+        problem = f"--width must be >= 1, got {args.width}"
+    if problem:
+        return _usage_error(args, problem)
     setup = _setup(args)
     jobs = min(args.job_count, 60)  # a readable chart needs a small scenario
     log = log_by_name(setup.workload, seed=setup.seed, job_count=jobs)
@@ -1238,6 +1288,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import generate_report
 
+    problem = _job_count_problem(args) or _figure_problem(args.figures or ())
+    if problem:
+        return _usage_error(args, problem)
     setup = _setup(args)
     cache = _point_cache(args)
     print(

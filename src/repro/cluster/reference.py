@@ -15,16 +15,18 @@ call.  It exists for two reasons and must not be "improved":
   code path against the incremental one and records the speedup in
   ``BENCH_ledger.json``.
 
-The one addition over the seed is :meth:`SeedReservationLedger.profile`,
+The two additions over the seed are :meth:`SeedReservationLedger.profile`,
 which reproduces exactly what the seed *call sites* did (build a fresh
-``CapacityProfile`` from a fresh sort) so the negotiation and scheduling
-layers can run unmodified on top of either ledger.
+``CapacityProfile`` from a fresh sort), and
+:meth:`SeedReservationLedger.fitting_starts`, the shared skyline walk over
+that profile, so the negotiation and scheduling layers can run unmodified
+on top of either ledger.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.reservations import (
     CapacityProfile,
@@ -189,6 +191,14 @@ class SeedReservationLedger:
         if limit is not None:
             times = times[:limit]
         return times
+
+    def fitting_starts(
+        self, earliest: float, duration: float, size: int, count: bool = False
+    ) -> Iterator[Tuple[float, int]]:
+        """The shared skyline walk over a from-scratch profile."""
+        return self.profile().fitting_starts(
+            self._end_times, earliest, duration, size, self._n, count
+        )
 
     def find_slot(
         self,

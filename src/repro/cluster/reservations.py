@@ -3,7 +3,7 @@
 Conservative backfilling — which is what a scheduler that *promises
 deadlines at submission* must do — books a concrete ``(node set, start,
 end)`` reservation for every job the moment it is negotiated.  The ledger
-stores those bookings as per-node interval lists and answers the two
+keeps those bookings in one start-ordered index and answers the two
 questions the scheduler and the negotiation loop ask:
 
 * *"What is the earliest time at or after ``t`` at which ``n`` nodes are
@@ -25,30 +25,29 @@ Performance model
 -----------------
 The negotiation dialogue probes the ledger up to ``max_offers`` times per
 submission while mutating it at most a handful of times per job, so the
-ledger is read-dominated by two to three orders of magnitude.  The
-structures below exploit that asymmetry (see DESIGN.md "Performance" and
-"Scaling the substrate"):
+ledger is read-dominated by two to three orders of magnitude.  Two
+structures serve every query (see DESIGN.md "Performance" and "Scaling
+the substrate"):
 
-* the aggregate usage *skyline* is kept as an incrementally maintained
-  delta map; :meth:`ReservationLedger.profile` materialises it into a
-  :class:`CapacityProfile` — flat ``array``-module boundary/level arrays
-  with a block-decomposed range maximum — once per mutation generation
-  and serves every later call from cache in O(1);
-* each node carries a prefix-maximum over its interval end times, making
-  :meth:`ReservationLedger.node_free` a pure O(log k) bisection even after
-  :meth:`ReservationLedger.extend` has destroyed the sortedness of ends;
-* per-node interval lists live in dicts keyed by node and a sorted
-  *booked-node* list is maintained incrementally, so every cost scales
-  with the number of nodes actually carrying bookings — never with the
-  cluster width.  A 100k-node ledger with a hundred live jobs costs the
-  same as a 1k-node one;
-* free-node queries answer in run-length :class:`~repro.cluster.nodeset
-  .NodeSet` form (:meth:`ReservationLedger.free_nodes_set`), and the
-  scorerless ``find_slot`` path stops scanning as soon as the requested
-  width is covered, so a first-fit placement on a mostly-idle big cluster
-  touches a handful of runs instead of materialising 100k-element lists;
-* mutations locate a job's per-node interval by bisecting on the known
-  reservation start instead of scanning the interval list.
+* the **booking index** — the live bookings in (start, job id) order as
+  four parallel lists: start, end, job id, and the booking's nodes as one
+  Python-int bitmask.  A free-node query bisects on start for the
+  bookings that begin before the window ends, ORs the masks of those that
+  end after it starts, and complements the result run by run with
+  lowest-set-bit arithmetic (:meth:`ReservationLedger.free_nodes_set`);
+  ``node_free`` and ``reserve``'s overlap check test the same busy mask.
+  Memory and work scale with live bookings, not with the cluster width
+  (a mask operation costs one machine word per 64 nodes, however
+  fragmented the partitions are).  Mutations find a booking by
+  bisecting on its start, then job id;
+* the aggregate usage **skyline** — a delta map maintained by every
+  mutation and materialised into a :class:`CapacityProfile` (flat
+  ``array`` boundaries and levels) once per mutation generation.  Its
+  :meth:`~CapacityProfile.fitting_starts` walk hands callers only the
+  candidate starts that pass the capacity prefilter: it jumps straight
+  past every over-capacity stretch instead of testing each booking end
+  in it.  An over-capacity run ends where usage drops, and usage drops
+  only where some booking ends, so the jump always lands on a candidate.
 """
 
 from __future__ import annotations
@@ -56,6 +55,9 @@ from __future__ import annotations
 import bisect
 from array import array
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, islice, repeat
+from operator import lshift, lt, or_
 
 import numpy as np
 from typing import (
@@ -82,31 +84,26 @@ ChosenNodes = Union[NodeSet, List[int]]
 
 
 class CapacityProfile:
-    """Aggregate usage over time, for cheap infeasibility prefiltering.
+    """Aggregate usage over time: the skyline behind capacity prefiltering.
 
-    ``max_usage(start, end)`` bounds the nodes simultaneously booked in the
-    window from *below* the true per-node constraint: a window can pass the
-    capacity test yet still fail node-level availability (two nodes each
-    busy for half the window leave zero nodes free *throughout* it), so a
-    passing window must still be verified with
-    :meth:`ReservationLedger.free_nodes` — but a failing window is failing
-    for sure, and in deep-queue phases almost every candidate fails here,
-    skipping the expensive per-node scan.
+    The skyline bounds the nodes simultaneously booked in a window from
+    *below* the true per-node constraint: a window can pass the capacity
+    test yet still fail node-level availability (two nodes each busy for
+    half the window leave zero nodes free *throughout* it), so a passing
+    window must still be verified with
+    :meth:`ReservationLedger.free_nodes_set` — but a failing window is
+    failing for sure, and in deep-queue phases almost every candidate
+    fails here, skipping the per-node query.
 
-    Storage is two flat ``array`` buffers (``'d'`` boundaries, ``'q'``
-    levels) plus per-block maxima: O(k) to build — a million-boundary
-    skyline is ~16 MB instead of a forest of boxed floats — and range
-    maxima answer from two boundary bisections plus at most two partial
-    blocks and one scan over the block-maximum array.
+    Storage is two flat ``array`` buffers: ``'d'`` boundaries and ``'q'``
+    levels, ``usage[i]`` holding on ``[boundaries[i], boundaries[i+1])``
+    (zero before the first boundary and from the last one on).  O(k) to
+    build; a million-boundary skyline is ~16 MB instead of a forest of
+    boxed floats.
 
     Construct from a reservation list, or from an already-maintained delta
     map via :meth:`from_deltas` (the ledger's incremental path).
     """
-
-    #: Usage entries per maximum block.  64 keeps partial-block scans
-    #: short while the block array stays k/64 long; queries cost ~2·64
-    #: element visits regardless of skyline size.
-    _BLOCK = 64
 
     def __init__(self, reservations: Sequence["Reservation"]) -> None:
         deltas: Dict[float, int] = {}
@@ -139,19 +136,10 @@ class CapacityProfile:
         for i, t in enumerate(boundaries):
             level += deltas[t]
             usage[i] = level
-        # usage[i] holds on [boundaries[i], boundaries[i+1]).
         self._usage = usage
-        block = self._BLOCK
-        self._block_max = array(
-            "q",
-            (
-                max(usage[i : i + block])
-                for i in range(0, len(usage), block)
-            ),
-        )
 
     def _build_vector(self, deltas: Dict[float, int]) -> None:
-        """Vectorised :meth:`_build`: sort/cumsum/block-max in numpy.
+        """Vectorised :meth:`_build`: sort/cumsum in numpy.
 
         Boundary times are unique dict keys, so the argsort permutation is
         unambiguous, and the running levels are an exact int64 cumsum —
@@ -165,55 +153,99 @@ class CapacityProfile:
         times = times[live]
         changes = changes[live]
         order = np.argsort(times)
-        times = times[order]
-        usage = np.cumsum(changes[order])
         self._boundaries = array("d")
-        self._boundaries.frombytes(times.tobytes())
+        self._boundaries.frombytes(times[order].tobytes())
         self._usage = array("q")
-        self._usage.frombytes(usage.tobytes())
-        self._block_max = array("q")
-        if len(usage):
-            block_starts = np.arange(0, len(usage), self._BLOCK)
-            self._block_max.frombytes(
-                np.maximum.reduceat(usage, block_starts).tobytes()
-            )
+        self._usage.frombytes(np.cumsum(changes[order]).tobytes())
 
     def max_usage(self, start: float, end: float) -> int:
         """Maximum booked node count over ``[start, end)``."""
-        if not self._usage:
-            return 0
-        # Segment whose interval contains `start` (usage before the first
-        # boundary is 0).
-        lo = bisect.bisect_right(self._boundaries, start) - 1
-        hi = bisect.bisect_left(self._boundaries, end) - 1
-        if hi < 0:
-            return 0
-        lo = max(lo, 0)
-        if lo > hi:
-            # Window entirely inside one pre-first-boundary gap.
-            return self._usage[hi] if hi >= 0 else 0
-        return self._range_max(lo, hi)
-
-    def _range_max(self, lo: int, hi: int) -> int:
-        """Maximum of ``_usage[lo..hi]`` (inclusive) via block decomposition."""
-        block = self._BLOCK
-        usage = self._usage
-        b_lo = lo // block
-        b_hi = hi // block
-        if b_hi - b_lo <= 1:
-            return max(usage[lo : hi + 1])
-        best = max(usage[lo : (b_lo + 1) * block])
-        mid = self._block_max[b_lo + 1 : b_hi]
-        if mid:
-            mid_max = max(mid)
-            if mid_max > best:
-                best = mid_max
-        tail = max(usage[b_hi * block : hi + 1])
-        return tail if tail > best else best
+        # Segments from the one containing `start` (usage before the first
+        # boundary is 0) through the last one that begins before `end`.
+        lo = max(bisect.bisect_right(self._boundaries, start) - 1, 0)
+        hi = bisect.bisect_left(self._boundaries, end)
+        return max(self._usage[lo:hi], default=0)
 
     def window_fits(self, start: float, end: float, free_needed: int, total: int) -> bool:
         """Capacity prefilter: can ``free_needed`` nodes possibly be free?"""
         return total - self.max_usage(start, end) >= free_needed
+
+    def fitting_starts(
+        self,
+        end_times: Sequence[float],
+        earliest: float,
+        duration: float,
+        size: int,
+        total: int,
+        count: bool = False,
+    ) -> Iterator[Tuple[float, int]]:
+        """The candidate starts whose window passes :meth:`window_fits`.
+
+        Candidates are ``earliest`` plus every distinct value of the sorted
+        ``end_times`` above it — free capacity changes nowhere else, so
+        the earliest feasible start is always one of them.  Yields
+        ``(start, skipped)`` in ascending order for exactly the candidates
+        with ``window_fits(start, start + duration, size, total)``;
+        ``skipped`` is how many failing candidates came since the previous
+        yield, counted only when ``count`` is set (0 otherwise).  Nothing
+        is yielded when ``size > total``.
+
+        One skyline walk instead of a range maximum per candidate: from a
+        candidate ``t`` it scans the segments meeting ``[t, t+d)``.  On the
+        first one above ``total - size`` it jumps ``t`` to the end of that
+        over-capacity run — every candidate on the way has a window that
+        meets the run, so fails.  The run's end is a drop in usage, so some
+        booking ends there: it is itself a candidate.  Segments already
+        found under capacity are never rescanned, so a full walk costs
+        O(skyline + candidates) plus one bisection per yield.
+
+        ``end_times`` is read lazily: do not mutate its owner mid-walk.
+        """
+        if size > total:
+            return
+        cap = total - size
+        bounds = self._boundaries
+        usage = self._usage
+        segments = len(usage)
+        ends = len(end_times)
+        t = earliest
+        nxt_end = bisect.bisect_right(end_times, t)
+        # Segments in [segment of t, scanned) are known to be <= cap.
+        scanned = max(bisect.bisect_right(bounds, t) - 1, 0)
+        skipped = 0
+        while True:
+            stop = t + duration
+            while (
+                scanned < segments
+                and bounds[scanned] < stop
+                and usage[scanned] <= cap
+            ):
+                scanned += 1
+            if scanned == segments or bounds[scanned] >= stop:
+                yield t, skipped
+                skipped = 0
+                if nxt_end == ends:
+                    return
+                t = end_times[nxt_end]
+                nxt_end = bisect.bisect_right(end_times, t, nxt_end)
+                scanned = max(scanned, bisect.bisect_right(bounds, t) - 1)
+                continue
+            # Segment `scanned` is over capacity.  The skyline ends at 0, so
+            # the run ends, dropping back to <= cap.
+            run_end = scanned + 1
+            while usage[run_end] > cap:
+                run_end += 1
+            jump = bounds[run_end]
+            if count:
+                skipped += 1  # t itself
+                last = t
+                for i in range(nxt_end, bisect.bisect_left(end_times, jump, nxt_end)):
+                    if end_times[i] > last:
+                        last = end_times[i]
+                        skipped += 1
+            t = jump
+            nxt_end = bisect.bisect_right(end_times, t, nxt_end)
+            scanned = run_end + 1
 
 
 @dataclass
@@ -236,7 +268,7 @@ class Reservation:
 
 
 class ReservationLedger:
-    """Per-node interval book-keeping over a fixed-width cluster.
+    """Node-level booking index over a fixed-width cluster.
 
     Args:
         node_count: Cluster width N; node indexes are ``0..N-1``.
@@ -245,8 +277,9 @@ class ReservationLedger:
             rate under ``cluster.ledger.*`` (see DESIGN.md
             "Observability").
         profiler: Optional hierarchical profiler (:mod:`repro.obs.prof`);
-            when live, ``find_slot``/``reserve`` calls and profile
-            rebuilds run inside ``cluster.ledger.*`` zones.
+            when live, ``find_slot``/``reserve``/``release`` and free-node
+            queries, and profile rebuilds, run inside ``cluster.ledger.*``
+            zones.
     """
 
     def __init__(
@@ -259,26 +292,15 @@ class ReservationLedger:
             raise ValueError(f"node_count must be >= 1, got {node_count}")
         self._n = node_count
         self._full = NodeSet.full(node_count)
-        # Per-node parallel arrays of (start, end, job_id), sorted by start,
-        # held only for nodes that actually carry bookings — construction
-        # and memory are O(live bookings), not O(cluster width).
-        self._starts: Dict[int, List[float]] = {}
-        self._ends: Dict[int, List[float]] = {}
-        self._jobs: Dict[int, List[int]] = {}
-        # Prefix maxima over _ends: _pmax_ends[n][i] = max(_ends[n][:i+1]).
-        # Ends are not sorted once extend() has run; the prefix maximum is
-        # what makes node_free a single bisection regardless.
-        self._pmax_ends: Dict[int, List[float]] = {}
-        # Ascending nodes carrying at least one interval; maintained
-        # incrementally so free-node scans touch booked nodes only.
-        self._booked: List[int] = []
-        # Every live booking's node runs, sorted by node interval:
-        # (node_lo, node_hi, start, end, job_id).  Free-set queries sweep
-        # this when it is shorter than the booked-node list — on a big
-        # cluster running wide jobs the run count is an order of magnitude
-        # below the booked-node count, and the sweep needs no per-node
-        # bisections at all.
-        self._busy_runs: List[Tuple[int, int, float, float, int]] = []
+        self._all = (1 << node_count) - 1
+        # The booking index: every live booking in (start, job id) order as
+        # four parallel lists, its nodes as one int bitmask (bit n = node
+        # n).  Memory and every query scale with live bookings, never with
+        # the cluster width.
+        self._starts: List[float] = []
+        self._ends: List[float] = []
+        self._jobs: List[int] = []
+        self._masks: List[int] = []
         self._by_job: Dict[int, Reservation] = {}
         # Sorted multiset of reservation end times (candidate start points).
         self._end_times: List[float] = []
@@ -313,6 +335,8 @@ class ReservationLedger:
         self._prof = profiler.enabled
         self._z_find_slot = profiler.zone("cluster.ledger.find_slot")
         self._z_reserve = profiler.zone("cluster.ledger.reserve")
+        self._z_release = profiler.zone("cluster.ledger.release")
+        self._z_free_nodes = profiler.zone("cluster.ledger.free_nodes")
         self._z_profile_rebuild = profiler.zone("cluster.ledger.profile_rebuild")
 
     # ------------------------------------------------------------------
@@ -348,10 +372,10 @@ class ReservationLedger:
         """The current capacity profile (cached between mutations).
 
         The skyline deltas are maintained incrementally by every mutation;
-        this method only pays to materialise boundary/level arrays (and the
-        block maxima) on the first call after a mutation.  During a
-        negotiation dialogue — hundreds of probes, zero mutations — every
-        call after the first is O(1).
+        this method only pays to materialise boundary/level arrays on the
+        first call after a mutation.  During a negotiation dialogue —
+        hundreds of probes, zero mutations — every call after the first is
+        O(1).
         """
         if self._profile is None or self._profile_version != self._version:
             if self._prof:
@@ -392,8 +416,9 @@ class ReservationLedger:
 
         Raises:
             ValueError: On overlap with an existing booking (unless
-                ``allow_overlap``), a duplicate job id, an out-of-range
-                node, or a degenerate window.
+                ``allow_overlap``; the message names the lowest conflicting
+                node), a duplicate job id, an out-of-range node, or a
+                degenerate window.
         """
         if not self._prof:
             return self._reserve(job_id, nodes, start, end, allow_overlap)
@@ -422,38 +447,26 @@ class ReservationLedger:
         # Ascending input: bounds-checking the extremes covers every node.
         self._check_node(node_seq[0])
         self._check_node(node_seq[-1])
+        if isinstance(node_seq, NodeSet):
+            mask = 0
+            for lo, hi in node_seq.runs:
+                mask |= ((1 << (hi - lo)) - 1) << lo
+        else:
+            mask = reduce(or_, map(lshift, repeat(1), node_seq), 0)
         if not allow_overlap:
-            # Only booked nodes can conflict; unbooked members are free by
-            # definition, so validation scans the (sorted) intersection of
-            # the request with the booked-node list — sublinear in the
-            # partition width on a big, mostly-idle cluster.
-            for node in self._booked_within(node_seq):
-                if not self.node_free(node, start, end):
-                    raise ValueError(
-                        f"job {job_id}: node {node} not free over [{start}, {end})"
-                    )
-        fresh: List[int] = []
-        for node in node_seq:
-            starts = self._starts.get(node)
-            if starts is None:
-                self._starts[node] = [start]
-                self._ends[node] = [end]
-                self._jobs[node] = [job_id]
-                self._pmax_ends[node] = [end]
-                fresh.append(node)
-                continue
-            idx = bisect.bisect_left(starts, start)
-            starts.insert(idx, start)
-            self._ends[node].insert(idx, end)
-            self._jobs[node].insert(idx, job_id)
-            self._pmax_ends[node].insert(idx, end)
-            self._refresh_pmax(node, idx)
-        for node in fresh:
-            bisect.insort(self._booked, node)
+            clash = self._busy_mask(start, end) & mask
+            if clash:
+                node = (clash & -clash).bit_length() - 1
+                raise ValueError(
+                    f"job {job_id}: node {node} not free over [{start}, {end})"
+                )
+        idx = self._index(start, job_id)
+        self._starts.insert(idx, start)
+        self._ends.insert(idx, end)
+        self._jobs.insert(idx, job_id)
+        self._masks.insert(idx, mask)
         reservation = Reservation(job_id=job_id, nodes=node_seq, start=start, end=end)
         self._by_job[job_id] = reservation
-        for lo, hi in self._node_runs(node_seq):
-            bisect.insort(self._busy_runs, (lo, hi, start, end, job_id))
         bisect.insort(self._end_times, end)
         width = len(node_seq)
         self._shift_delta(start, width)
@@ -463,24 +476,20 @@ class ReservationLedger:
 
     def release(self, job_id: int) -> Reservation:
         """Drop a job's booking entirely (finish, kill, or cancellation)."""
+        if not self._prof:
+            return self._release(job_id)
+        with self._z_release:
+            return self._release(job_id)
+
+    def _release(self, job_id: int) -> Reservation:
         reservation = self._by_job.pop(job_id, None)
         if reservation is None:
             raise KeyError(f"job {job_id} has no reservation")
-        for node in reservation.nodes:
-            idx = self._find_entry(node, job_id, reservation.start)
-            starts = self._starts[node]
-            del starts[idx]
-            del self._ends[node][idx]
-            del self._jobs[node][idx]
-            del self._pmax_ends[node][idx]
-            if starts:
-                self._refresh_pmax(node, idx)
-            else:
-                self._drop_node(node)
-        for lo, hi in self._node_runs(reservation.nodes):
-            self._remove_busy_run(
-                (lo, hi, reservation.start, reservation.end, reservation.job_id)
-            )
+        idx = self._index(reservation.start, job_id)
+        del self._starts[idx]
+        del self._ends[idx]
+        del self._jobs[idx]
+        del self._masks[idx]
         self._remove_end_time(reservation.end)
         width = len(reservation.nodes)
         self._shift_delta(reservation.start, -width)
@@ -523,17 +532,7 @@ class ReservationLedger:
     def _resize(self, reservation: Reservation, new_end: float) -> Reservation:
         """Shared tail of truncate/extend: move ``end`` to ``new_end``."""
         job_id = reservation.job_id
-        for node in reservation.nodes:
-            idx = self._find_entry(node, job_id, reservation.start)
-            self._ends[node][idx] = new_end
-            self._refresh_pmax(node, idx)
-        for lo, hi in self._node_runs(reservation.nodes):
-            self._remove_busy_run(
-                (lo, hi, reservation.start, reservation.end, job_id)
-            )
-            bisect.insort(
-                self._busy_runs, (lo, hi, reservation.start, new_end, job_id)
-            )
+        self._ends[self._index(reservation.start, job_id)] = new_end
         self._remove_end_time(reservation.end)
         bisect.insort(self._end_times, new_end)
         width = len(reservation.nodes)
@@ -548,66 +547,38 @@ class ReservationLedger:
     # Queries
     # ------------------------------------------------------------------
     def node_free(self, node: int, start: float, end: float) -> bool:
-        """True if ``node`` has no booking overlapping ``[start, end)``.
-
-        An interval overlaps iff it starts before ``end`` and ends after
-        ``start``; the prefix maximum over ends of all intervals starting
-        before ``end`` answers "does any end exceed ``start``" in O(1)
-        after one bisection.
-        """
+        """True if ``node`` has no booking overlapping ``[start, end)``."""
         self._check_node(node)
-        starts = self._starts.get(node)
-        if starts is None:
-            return True
-        idx = bisect.bisect_left(starts, end)
-        return idx == 0 or self._pmax_ends[node][idx - 1] <= start
+        return not (self._busy_mask(start, end) >> node) & 1
 
     def free_nodes_set(self, start: float, end: float) -> NodeSet:
         """All nodes free throughout ``[start, end)``, as a run-length set.
 
-        Skyline fast path: a window past the last booking end, or one the
-        aggregate profile shows as entirely unbooked, is free on every
-        node — no per-node checks at all.  Otherwise only *booked* nodes
-        are tested (one bisection each); everything else is free by
-        definition, so the cost scales with live bookings, not cluster
-        width.
+        A window past the last booking end is free on every node with no
+        work at all; otherwise the busy mask of the overlapping bookings
+        is complemented run by run.
         """
+        if not self._prof:
+            return self._free_nodes_set(start, end)
+        with self._z_free_nodes:
+            return self._free_nodes_set(start, end)
+
+    def _free_nodes_set(self, start: float, end: float) -> NodeSet:
         if not self._end_times or start >= self._end_times[-1]:
             return self._full
-        if self.profile().max_usage(start, end) == 0:
-            return self._full
-        if len(self._busy_runs) < len(self._booked):
-            return self._free_set_sweep(start, end)
-        starts_map = self._starts
-        pmax_map = self._pmax_ends
-        busy: List[int] = []
-        for node in self._booked:
-            starts = starts_map[node]
-            idx = bisect.bisect_left(starts, end)
-            if idx > 0 and pmax_map[node][idx - 1] > start:
-                busy.append(node)
+        busy = self._busy_mask(start, end)
         if not busy:
             return self._full
-        return self._full.difference(NodeSet.from_sorted(busy))
-
-    def _free_set_sweep(self, start: float, end: float) -> NodeSet:
-        """:meth:`free_nodes_set` via one pass over the sorted booking
-        runs: union the time-overlapping runs, complement the union.  No
-        per-node work — the cost is the live *run* count, which on wide
-        partitions sits far below the booked-node count.
-        """
-        busy: List[Tuple[int, int]] = []
-        for lo, hi, r_start, r_end, _job in self._busy_runs:
-            if r_start >= end or r_end <= start:
-                continue
-            if busy and lo <= busy[-1][1]:
-                if hi > busy[-1][1]:
-                    busy[-1] = (busy[-1][0], hi)
-            else:
-                busy.append((lo, hi))
-        if not busy:
-            return self._full
-        return self._full.difference(NodeSet(busy))
+        free = ~busy & self._all
+        runs: List[Tuple[int, int]] = []
+        while free:
+            # Adding the lowest set bit carries through its run of ones
+            # and sets the first zero above it.
+            low = free & -free
+            top = (free + low) & ~free
+            runs.append((low.bit_length() - 1, top.bit_length() - 1))
+            free &= -top
+        return NodeSet(runs)
 
     def free_nodes(self, start: float, end: float) -> List[int]:
         """All nodes free throughout ``[start, end)``, ascending (legacy
@@ -643,12 +614,10 @@ class ReservationLedger:
     def iter_candidate_times(self, earliest: float) -> Iterator[float]:
         """Lazy :meth:`candidate_times`: same values, no list materialised.
 
-        The negotiation dialogue usually accepts within the first few
-        candidates, so building the full candidate list per dialogue is
-        wasted work on deep queues.  Yields from a snapshot of the end-time
-        array, so the iterator stays valid even if the ledger is mutated
-        mid-iteration (callers still see the candidates of the ledger as it
-        was when iteration started, exactly like :meth:`candidate_times`).
+        Yields from a snapshot of the end-time array, so the iterator stays
+        valid even if the ledger is mutated mid-iteration (callers still
+        see the candidates of the ledger as it was when iteration started,
+        exactly like :meth:`candidate_times`).
         """
         yield earliest
         idx = bisect.bisect_right(self._end_times, earliest)
@@ -658,6 +627,18 @@ class ReservationLedger:
             if t > last:
                 yield t
                 last = t
+
+    def fitting_starts(
+        self, earliest: float, duration: float, size: int, count: bool = False
+    ) -> Iterator[Tuple[float, int]]:
+        """The candidate starts (see :meth:`candidate_times`) whose window
+        passes the capacity prefilter, as ``(start, skipped)`` pairs; see
+        :meth:`CapacityProfile.fitting_starts`.  Do not mutate the ledger
+        while consuming the walk.
+        """
+        return self.profile().fitting_starts(
+            self._end_times, earliest, duration, size, self._n, count
+        )
 
     def horizon(self) -> float:
         """The last booking end (0.0 when the book is empty): beyond it the
@@ -716,196 +697,43 @@ class ReservationLedger:
 
         obs = self._obs
         probes = rejects = 0
-        profile = self.profile()
-        for start in self.candidate_times(earliest):
-            probes += 1
-            if not profile.window_fits(start, start + duration, size, self._n):
-                rejects += 1
+        for start, skipped in self.fitting_starts(earliest, duration, size, obs):
+            probes += skipped + 1
+            rejects += skipped
+            free = self.free_nodes_set(start, start + duration)
+            if len(free) < size:
                 continue
             if scorer is None:
-                # First-fit wants the lowest `size` free indexes; stop the
-                # booked-node walk the moment they are covered instead of
-                # materialising the whole free set.
-                prefix = self._free_prefix(start, start + duration, size)
-                if prefix is not None:
-                    if obs:
-                        self._record_find_slot(probes, rejects)
-                    return start, prefix
-                continue
-            free = self.free_nodes_set(start, start + duration)
-            if len(free) >= size:
+                chosen: ChosenNodes = free[:size]
+            else:
                 chosen, _ = best_nodes(free, size, start, start + duration, scorer)
-                if obs:
-                    self._record_find_slot(probes, rejects)
-                return start, chosen
+            if obs:
+                self._record_find_slot(probes, rejects)
+            return start, chosen
         # Unreachable: the window after the last booking end is always free.
         raise RuntimeError("no feasible slot found past the final booking")
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _free_prefix(
-        self, start: float, end: float, size: int
-    ) -> Optional[NodeSet]:
-        """The ``size`` lowest-indexed nodes free over ``[start, end)``,
-        or None when fewer than ``size`` are free in total.
+    def _busy_mask(self, start: float, end: float) -> int:
+        """OR of the masks of every booking overlapping ``[start, end)``:
+        those starting before ``end`` (a bisection) that end after
+        ``start``."""
+        before = bisect.bisect_left(self._starts, end)
+        ends_after = map(lt, repeat(start), islice(self._ends, before))
+        return reduce(or_, compress(self._masks, ends_after), 0)
 
-        Identical to ``free_nodes_set(start, end)[:size]`` but walks the
-        booked-node list front to back and returns as soon as the width is
-        covered — on a lightly fragmented cluster that is O(size) run
-        arithmetic no matter how wide the machine is.
-        """
-        if (
-            not self._end_times
-            or start >= self._end_times[-1]
-            or self.profile().max_usage(start, end) == 0
-        ):
-            return NodeSet.interval(0, size)
-        if len(self._busy_runs) < len(self._booked):
-            return self._free_prefix_sweep(start, end, size)
-        runs: List[Tuple[int, int]] = []
-        needed = size
-        cursor = 0  # next index not yet classified; everything below is done
-        starts_map = self._starts
-        pmax_map = self._pmax_ends
-        for node in self._booked:
-            if node > cursor:
-                take = min(node - cursor, needed)
-                self._append_run(runs, cursor, cursor + take)
-                needed -= take
-                if needed == 0:
-                    return NodeSet(runs)
-            starts = starts_map[node]
-            idx = bisect.bisect_left(starts, end)
-            if idx == 0 or pmax_map[node][idx - 1] <= start:
-                self._append_run(runs, node, node + 1)
-                needed -= 1
-                if needed == 0:
-                    return NodeSet(runs)
-            cursor = node + 1
-        if cursor < self._n:
-            take = min(self._n - cursor, needed)
-            self._append_run(runs, cursor, cursor + take)
-            needed -= take
-            if needed == 0:
-                return NodeSet(runs)
-        return None
-
-    def _free_prefix_sweep(
-        self, start: float, end: float, size: int
-    ) -> Optional[NodeSet]:
-        """:meth:`_free_prefix` via the sorted booking-run sweep.
-
-        Walks runs in ascending node order keeping a busy high-water mark;
-        every gap between the mark and the next time-overlapping run is
-        free.  Runs whose time window misses ``[start, end)`` never extend
-        the mark, so their nodes fall into gaps unless another booking
-        covers them.  Same early exit as the per-node walk.
-        """
-        runs: List[Tuple[int, int]] = []
-        needed = size
-        cursor = 0  # lowest node index not yet known busy
-        for lo, hi, r_start, r_end, _job in self._busy_runs:
-            if r_start >= end or r_end <= start:
-                continue
-            if lo > cursor:
-                take = min(lo - cursor, needed)
-                self._append_run(runs, cursor, cursor + take)
-                needed -= take
-                if needed == 0:
-                    return NodeSet(runs)
-            if hi > cursor:
-                cursor = hi
-        if cursor < self._n:
-            take = min(self._n - cursor, needed)
-            self._append_run(runs, cursor, cursor + take)
-            needed -= take
-            if needed == 0:
-                return NodeSet(runs)
-        return None
-
-    @staticmethod
-    def _append_run(runs: List[Tuple[int, int]], lo: int, hi: int) -> None:
-        """Append ``[lo, hi)`` to a run list, merging adjacency."""
-        if runs and runs[-1][1] == lo:
-            runs[-1] = (runs[-1][0], hi)
-        else:
-            runs.append((lo, hi))
-
-    @staticmethod
-    def _node_runs(nodes: Sequence[int]) -> List[Tuple[int, int]]:
-        """``nodes`` (ascending, duplicate-free) as half-open runs."""
-        if isinstance(nodes, NodeSet):
-            return list(nodes.runs)
-        runs: List[Tuple[int, int]] = []
-        for node in nodes:
-            if runs and runs[-1][1] == node:
-                runs[-1] = (runs[-1][0], node + 1)
-            else:
-                runs.append((node, node + 1))
-        return runs
-
-    def _remove_busy_run(self, entry: Tuple[int, int, float, float, int]) -> None:
-        idx = bisect.bisect_left(self._busy_runs, entry)
-        del self._busy_runs[idx]
-
-    def _booked_within(self, nodes: Sequence[int]) -> Iterator[int]:
-        """Ascending members of ``nodes`` that carry at least one booking."""
-        booked = self._booked
-        if isinstance(nodes, NodeSet):
-            for run_start, run_stop in nodes.runs:
-                i = bisect.bisect_left(booked, run_start)
-                while i < len(booked) and booked[i] < run_stop:
-                    yield booked[i]
-                    i += 1
-            return
-        for node in nodes:
-            i = bisect.bisect_left(booked, node)
-            if i < len(booked) and booked[i] == node:
-                yield node
+    def _index(self, start: float, job_id: int) -> int:
+        """Position of ``(start, job_id)`` in the booking index: the
+        booking itself when live, else where it is inserted."""
+        lo = bisect.bisect_left(self._starts, start)
+        hi = bisect.bisect_right(self._starts, start, lo)
+        return bisect.bisect_left(self._jobs, job_id, lo, hi)
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self._n:
             raise ValueError(f"node {node} out of range [0, {self._n})")
-
-    def _drop_node(self, node: int) -> None:
-        """Forget a node whose last interval was just removed."""
-        del self._starts[node]
-        del self._ends[node]
-        del self._jobs[node]
-        del self._pmax_ends[node]
-        idx = bisect.bisect_left(self._booked, node)
-        del self._booked[idx]
-
-    def _find_entry(self, node: int, job_id: int, start: float) -> int:
-        """Index of the job's interval on ``node``, via bisection on the
-        reservation's known start (several bookings may share a start only
-        through ``allow_overlap`` restores, hence the short equal-run walk).
-        """
-        starts = self._starts.get(node)
-        if starts is None:
-            raise KeyError(f"job {job_id} has no interval on node {node}")
-        jobs = self._jobs[node]
-        idx = bisect.bisect_left(starts, start)
-        while idx < len(starts) and starts[idx] == start:
-            if jobs[idx] == job_id:
-                return idx
-            idx += 1
-        raise KeyError(f"job {job_id} has no interval on node {node}")
-
-    def _refresh_pmax(self, node: int, from_idx: int) -> None:
-        """Recompute the end-time prefix maxima from ``from_idx`` on.
-
-        O(k) in the node's booking count, paid only on mutation; queries
-        between mutations read the prefix in O(1).
-        """
-        ends = self._ends[node]
-        pmax = self._pmax_ends[node]
-        running = pmax[from_idx - 1] if from_idx > 0 else float("-inf")
-        for i in range(from_idx, len(ends)):
-            if ends[i] > running:
-                running = ends[i]
-            pmax[i] = running
 
     def _shift_delta(self, time: float, change: int) -> None:
         """Apply a usage delta at ``time``; zero entries are pruned."""

@@ -335,24 +335,16 @@ class Negotiator:
         prune = threshold is not None and self._mode == "analytical"
         if prune:
             assert evaluator is not None
-        # Capacity prefilter: reject candidates that cannot possibly have
-        # enough simultaneously free nodes without per-node scans.  The
-        # ledger is not mutated during one dialogue, so its cached profile
-        # serves the whole enumeration.
-        profile = self._ledger.profile()
-        total = self._ledger.node_count
-        iter_candidates = getattr(self._ledger, "iter_candidate_times", None)
-        candidates = (
-            iter_candidates(earliest)
-            if iter_candidates is not None
-            else iter(self._ledger.candidate_times(earliest))
-        )
-        for start in candidates:
+        # Capacity prefilter: the ledger's skyline walk skips candidates
+        # that cannot possibly have enough simultaneously free nodes
+        # without per-node queries.  The ledger is not mutated during one
+        # dialogue, so one walk serves the whole enumeration.
+        for start, skipped in self._ledger.fitting_starts(
+            earliest, duration, size, obs
+        ):
             last_start = start
-            if not profile.window_fits(start, start + duration, size, total):
-                if obs:
-                    self._c_prefilter.inc()
-                continue
+            if skipped:
+                self._c_prefilter.inc(skipped)
             if prune:
                 bound = evaluator.best_case_probability(
                     size, start, start + duration
@@ -377,7 +369,9 @@ class Negotiator:
             yield offer
             if produced >= self._max_offers:
                 return
-        # Past the booking horizon: jump beyond predicted failures.
+        # Past the booking horizon: jump beyond predicted failures.  The
+        # walk's last start is the last candidate (nothing is booked past
+        # it, so its window always fits).
         start = last_start
         while produced < self._max_offers:
             if prune:
@@ -594,7 +588,16 @@ class Negotiator:
         (``status="infeasible"``: the enumeration exhausted naturally,
         which only happens when no partition of this size can be placed —
         a failure-free offer always satisfies any target ``<= 1``).
+
+        Raises:
+            ValueError: If ``target_probability`` is outside ``(0, 1]``; no
+                promise can reach it, so any verdict would be false.
         """
+        if not 0.0 < target_probability <= 1.0:
+            raise ValueError(
+                "target_probability must be in (0, 1], got "
+                f"{target_probability}"
+            )
         if self._obs:
             self._c_advisories.inc()
         threshold = (

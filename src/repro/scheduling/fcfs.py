@@ -157,15 +157,11 @@ class ConservativeBackfillScheduler:
     def _schedule_restart(
         self, job_id: int, size: int, padded_remaining: float, now: float
     ) -> RestartReservation:
-        profile = self._ledger.profile()
-        total = self._ledger.node_count
         candidates = 0
-        for start in self._ledger.candidate_times(now):
-            candidates += 1
-            if not profile.window_fits(
-                start, start + padded_remaining, size, total
-            ):
-                continue
+        for start, skipped in self._ledger.fitting_starts(
+            now, padded_remaining, size, self._obs
+        ):
+            candidates += skipped + 1
             free = self._free_query(start, start + padded_remaining)
             if len(free) < size:
                 continue

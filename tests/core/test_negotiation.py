@@ -192,3 +192,11 @@ class TestSuggestDeadline:
         )
         assert result.offer is None
         assert result.status == "infeasible"
+
+    @pytest.mark.parametrize("target", [0.0, -0.1, 1.5])
+    def test_target_outside_the_unit_interval_is_rejected(self, target):
+        # No promise reaches such a target: a verdict ("infeasible" or
+        # "cap_reached") would be false, so the call refuses to give one.
+        negotiator, _, _ = make_negotiator(node_count=4)
+        with pytest.raises(ValueError, match="target_probability"):
+            negotiator.suggest_deadline(2, HOUR, 0.0, target_probability=target)

@@ -304,6 +304,20 @@ class TestEndToEndDeterminism:
             for stack in stacks
         )
 
+    def test_ledger_queries_and_releases_have_their_own_zones(self):
+        """Free-node queries are timed inside the dialogue and releases
+        inside finish dispatch, not left in their callers' self time."""
+        snapshot = self._snapshot(_nasa_context())
+        stacks = {stack for stack, _ in walk_zones(snapshot)}
+        assert (
+            "sim.engine.dispatch.arrival",
+            "negotiation.dialogue.negotiate",
+            "cluster.ledger.free_nodes",
+        ) in stacks
+        assert (
+            "sim.engine.dispatch.finish", "cluster.ledger.release"
+        ) in stacks
+
     def test_null_path_never_touches_a_zone(self, monkeypatch):
         """Structural zero-cost guarantee: with no profiler attached, no
         zone is ever entered (the one-bool guards skip them entirely)."""

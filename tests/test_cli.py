@@ -171,3 +171,60 @@ class TestExportAndGantt:
         out = capsys.readouterr().out
         assert "node   0" in out
         assert "QoS=" in out
+
+
+class TestUsageErrors:
+    """Bad parameters on every subcommand: one stderr line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["figure", "99"], "the paper has figures 1-12; got 99"),
+            (["figure", "3", "--job-count", "0"], "--job-count must be >= 1"),
+            (["headline", "--job-count", "0"], "--job-count must be >= 1"),
+            (["report", "--job-count", "-1"], "--job-count must be >= 1"),
+            (["report", "--figures", "13"], "the paper has figures 1-12; got 13"),
+            (["gantt", "--nodes", "0"], "--nodes must be >= 1, got 0"),
+            (["gantt", "--width", "0"], "--width must be >= 1, got 0"),
+            (["suggest", "--size", "0", "--runtime", "100"], "--size must be >= 1"),
+            (["suggest", "--size", "4", "--runtime", "-5"], "--runtime must be > 0"),
+            (
+                ["suggest", "--size", "4", "--runtime", "100", "-a", "1.5"],
+                "accuracy must be in [0,1]",
+            ),
+            (
+                ["suggest", "--size", "4", "--runtime", "100", "--job-count", "0"],
+                "--job-count must be >= 1",
+            ),
+            (["export", "bundle", "--job-count", "0"], "--job-count must be >= 1"),
+            (["table", "9"], "the paper has tables 1 and 2; got 9"),
+        ],
+    )
+    def test_bad_parameters_are_one_line_usage_errors(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"probqos {argv[0]}: error: ")
+        assert message in captured.err
+
+    @pytest.mark.parametrize("target", ["1.5", "0", "-0.2"])
+    def test_suggest_rejects_a_target_outside_the_unit_interval(self, capsys, target):
+        # Once reported as "infeasible: no partition ... can be placed"
+        # with exit 1: a false verdict, since placement was never the issue.
+        argv = ["suggest", "--size", "4", "--runtime", "100", "--target", target]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "infeasible" not in captured.out
+        assert captured.err.count("\n") == 1
+        assert "--target must be in (0, 1]" in captured.err
+
+    def test_export_into_an_unwritable_directory(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        argv = ["export", str(blocker / "bundle"), "--job-count", "25", "--seed", "5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("probqos export: error: cannot write bundle: ")

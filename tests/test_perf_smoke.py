@@ -54,6 +54,14 @@ def test_perf_harness_smoke(tmp_path):
         # instrumented (non-timed) rerun.
         assert data["obs"]["cluster.ledger.find_slot_calls"] > 0
 
+    # The smoke preset's one end-to-end scenario: the full system on both
+    # ledgers with identical metrics, so the CI counts gate watches a
+    # whole simulation, not only the ledger micro scenarios.
+    nasa = scenarios["nasa_end_to_end"]
+    assert nasa["metrics_identical"]
+    assert nasa["obs"]["core.system.jobs_completed"] == nasa["params"]["jobs"] > 0
+    assert nasa["obs"]["negotiation.dialogue.prefilter_rejects"] > 0
+
     # Schema 3: the figures_grid scenario (sequential vs pool vs warm
     # cache).  No timing assertions — only identity and plausibility.
     grid = scenarios["figures_grid"]
