@@ -35,11 +35,16 @@ the substrate"):
   bookings that begin before the window ends, ORs the masks of those that
   end after it starts, and complements the result run by run with
   lowest-set-bit arithmetic (:meth:`ReservationLedger.free_nodes_set`);
-  ``node_free`` and ``reserve``'s overlap check test the same busy mask.
-  Memory and work scale with live bookings, not with the cluster width
-  (a mask operation costs one machine word per 64 nodes, however
-  fragmented the partitions are).  Mutations find a booking by
-  bisecting on its start, then job id;
+  ``node_free`` and ``reserve``'s overlap check test the same busy mask,
+  and the last mask is reused until the next mutation (a ``reserve``
+  checks the window its caller just queried).  A query costs one C-level
+  pass over those bookings, each OR as wide as the widest mask so far
+  (one 30-bit digit per 30 nodes, however fragmented the partitions
+  are), plus one run step per free run, itself as wide as the mask.
+  First-fit ``find_slot`` complements only a low window that grows
+  until ``size`` free nodes fit, so its run steps cost the prefix, not
+  the cluster width.  Mutations find a booking by bisecting on its
+  start, then job id;
 * the aggregate usage **skyline** — a delta map maintained by every
   mutation and materialised into a :class:`CapacityProfile` (flat
   ``array`` boundaries and levels) once per mutation generation.  Its
@@ -57,7 +62,7 @@ from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, islice, repeat
-from operator import lshift, lt, or_
+from operator import lt, or_
 
 import numpy as np
 from typing import (
@@ -295,8 +300,7 @@ class ReservationLedger:
         self._all = (1 << node_count) - 1
         # The booking index: every live booking in (start, job id) order as
         # four parallel lists, its nodes as one int bitmask (bit n = node
-        # n).  Memory and every query scale with live bookings, never with
-        # the cluster width.
+        # n).
         self._starts: List[float] = []
         self._ends: List[float] = []
         self._jobs: List[int] = []
@@ -312,6 +316,9 @@ class ReservationLedger:
         self._version = 0
         self._profile: Optional[CapacityProfile] = None
         self._profile_version = -1
+        # The last busy-mask answer, keyed by (generation, start, end).
+        self._busy_key: Tuple[int, float, float] = (-1, 0.0, 0.0)
+        self._busy = 0
         self._sorted: Optional[List[Reservation]] = None
         # Observability: instruments bound once; hot paths gate on _obs so
         # the default null registry costs a single bool test per call.
@@ -447,12 +454,7 @@ class ReservationLedger:
         # Ascending input: bounds-checking the extremes covers every node.
         self._check_node(node_seq[0])
         self._check_node(node_seq[-1])
-        if isinstance(node_seq, NodeSet):
-            mask = 0
-            for lo, hi in node_seq.runs:
-                mask |= ((1 << (hi - lo)) - 1) << lo
-        else:
-            mask = reduce(or_, map(lshift, repeat(1), node_seq), 0)
+        mask = self._mask_of(node_seq)
         if not allow_overlap:
             clash = self._busy_mask(start, end) & mask
             if clash:
@@ -569,16 +571,7 @@ class ReservationLedger:
         busy = self._busy_mask(start, end)
         if not busy:
             return self._full
-        free = ~busy & self._all
-        runs: List[Tuple[int, int]] = []
-        while free:
-            # Adding the lowest set bit carries through its run of ones
-            # and sets the first zero above it.
-            low = free & -free
-            top = (free + low) & ~free
-            runs.append((low.bit_length() - 1, top.bit_length() - 1))
-            free &= -top
-        return NodeSet(runs)
+        return self._runs(~busy & self._all, self._n)
 
     def free_nodes(self, start: float, end: float) -> List[int]:
         """All nodes free throughout ``[start, end)``, ascending (legacy
@@ -700,13 +693,16 @@ class ReservationLedger:
         for start, skipped in self.fitting_starts(earliest, duration, size, obs):
             probes += skipped + 1
             rejects += skipped
-            free = self.free_nodes_set(start, start + duration)
-            if len(free) < size:
-                continue
+            chosen: Optional[ChosenNodes]
             if scorer is None:
-                chosen: ChosenNodes = free[:size]
+                chosen = self._free_prefix(start, start + duration, size)
             else:
+                free = self.free_nodes_set(start, start + duration)
+                if len(free) < size:
+                    continue
                 chosen, _ = best_nodes(free, size, start, start + duration, scorer)
+            if chosen is None:
+                continue
             if obs:
                 self._record_find_slot(probes, rejects)
             return start, chosen
@@ -719,10 +715,84 @@ class ReservationLedger:
     def _busy_mask(self, start: float, end: float) -> int:
         """OR of the masks of every booking overlapping ``[start, end)``:
         those starting before ``end`` (a bisection) that end after
-        ``start``."""
-        before = bisect.bisect_left(self._starts, end)
-        ends_after = map(lt, repeat(start), islice(self._ends, before))
-        return reduce(or_, compress(self._masks, ends_after), 0)
+        ``start``.
+
+        The last answer is kept until the next mutation: a ``reserve``
+        validates the very window its caller just queried.
+        """
+        key = (self._version, start, end)
+        if key != self._busy_key:
+            before = bisect.bisect_left(self._starts, end)
+            ends_after = map(lt, repeat(start), islice(self._ends, before))
+            self._busy = reduce(or_, compress(self._masks, ends_after), 0)
+            self._busy_key = key
+        return self._busy
+
+    def _free_prefix(
+        self, start: float, end: float, size: int
+    ) -> Optional[NodeSet]:
+        """The ``size`` lowest-indexed nodes free throughout ``[start,
+        end)``, or None when fewer are free: ``free_nodes_set(start,
+        end)[:size]`` without complementing the whole busy mask.
+
+        The first-fit answer usually sits far below the top node, so the
+        busy mask is read through a low window of ``width`` bits that
+        quadruples until ``size`` free nodes fit under it; the run
+        arithmetic then costs the prefix, not the cluster width.
+        """
+        if not self._prof:
+            return self._free_prefix_within(start, end, size)
+        with self._z_free_nodes:
+            return self._free_prefix_within(start, end, size)
+
+    def _free_prefix_within(
+        self, start: float, end: float, size: int
+    ) -> Optional[NodeSet]:
+        if not self._end_times or start >= self._end_times[-1]:
+            return NodeSet.interval(0, size)
+        busy = self._busy_mask(start, end)
+        width = 2 * size
+        while True:
+            width = min(width, self._n)
+            window = (1 << width) - 1
+            free = (busy & window) ^ window
+            if bin(free).count("1") >= size:
+                return self._runs(free, size)
+            if width == self._n:
+                return None
+            width *= 4
+
+    @staticmethod
+    def _mask_of(nodes: Sequence[int]) -> int:
+        """The bitmask (bit n = node n) of ascending, duplicate-free
+        ``nodes``: one block per run of a :class:`NodeSet`, one pass over
+        a byte buffer for any other sequence."""
+        if isinstance(nodes, NodeSet):
+            mask = 0
+            for lo, hi in nodes.runs:
+                mask |= ((1 << (hi - lo)) - 1) << lo
+            return mask
+        buf = bytearray(nodes[-1] // 8 + 1)
+        for node in nodes:
+            buf[node >> 3] |= 1 << (node & 7)
+        return int.from_bytes(buf, "little")
+
+    @staticmethod
+    def _runs(free: int, limit: int) -> NodeSet:
+        """The set bits of ``free`` as a :class:`NodeSet`, stopping once
+        ``limit`` nodes are covered (the last run trimmed to fit)."""
+        runs: List[Tuple[int, int]] = []
+        while free and limit > 0:
+            # Adding the lowest set bit carries through its run of ones
+            # and sets the first zero above it.
+            low = free & -free
+            top = (free + low) & ~free
+            lo = low.bit_length() - 1
+            hi = min(top.bit_length() - 1, lo + limit)
+            runs.append((lo, hi))
+            limit -= hi - lo
+            free &= -top
+        return NodeSet(runs)
 
     def _index(self, start: float, job_id: int) -> int:
         """Position of ``(start, job_id)`` in the booking index: the

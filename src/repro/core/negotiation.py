@@ -339,6 +339,14 @@ class Negotiator:
         # that cannot possibly have enough simultaneously free nodes
         # without per-node queries.  The ledger is not mutated during one
         # dialogue, so one walk serves the whole enumeration.
+        if size > self._ledger.node_count:
+            # The walk yields nothing for a job wider than the cluster:
+            # every candidate is a prefilter reject, and the horizon probe
+            # below starts from the last one, as after any other walk.
+            candidates = self._ledger.candidate_times(earliest)
+            last_start = candidates[-1]
+            if obs:
+                self._c_prefilter.inc(len(candidates))
         for start, skipped in self._ledger.fitting_starts(
             earliest, duration, size, obs
         ):

@@ -80,7 +80,8 @@ def _check_walk(rng, fast, seed):
     for r in fast.reservations()[:3]:
         earliests += [r.start, r.end]
     for earliest in earliests:
-        size = rng.randint(1, nodes)
+        # One node too many now and then: nothing fits, nothing is yielded.
+        size = rng.randint(1, nodes + 1)
         duration = rng.choice([rng.uniform(1.0, 400.0), rng.uniform(0.01, 5.0)])
         expected = _filtered_starts(seed, earliest, duration, size)
         for ledger in (fast, seed):
@@ -226,6 +227,24 @@ def test_walk_jumps_over_capacity_runs_and_duplicate_ends():
     walk = ledger.fitting_starts(10.0, 1.0, 2, count=True)
     assert list(walk) == [(15.0, 1), (20.0, 0)]
     assert list(ledger.fitting_starts(0.0, 1.0, 5)) == []  # wider than the cluster
+
+
+def test_first_fit_widens_its_window_past_busy_low_nodes():
+    # Nodes 0..149 are busy except 3 holes, so the 40 lowest free nodes
+    # need a window wider than the first guesses.
+    ledger = ReservationLedger(WIDE_NODES)
+    ledger.reserve(1, NodeSet([(0, 10), (11, 70), (72, 150)]), 0.0, 10.0)
+    seed = SeedReservationLedger(WIDE_NODES)
+    seed.reserve(1, NodeSet([(0, 10), (11, 70), (72, 150)]), 0.0, 10.0)
+    start, nodes = ledger.find_slot(40, 5.0, 0.0)
+    assert (start, nodes) == seed.find_slot(40, 5.0, 0.0)
+    assert nodes == NodeSet([(10, 11), (70, 72), (150, 187)])
+    # Capacity passes at 0 but no node is free for the whole window: the
+    # widest window comes up short and the walk moves on.
+    ledger = ReservationLedger(WIDE_NODES)
+    ledger.reserve(1, range(100), 0.0, 5.0)
+    ledger.reserve(2, range(100, WIDE_NODES), 5.0, 10.0)
+    assert ledger.find_slot(60, 10.0, 0.0) == (5.0, NodeSet.interval(0, 60))
 
 
 def test_reserve_conflict_names_the_lowest_busy_node():

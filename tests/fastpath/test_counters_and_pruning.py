@@ -66,6 +66,24 @@ class TestCounterSplit:
         assert tally["negotiation.dialogue.probes"] == 1
         assert tally.get("negotiation.dialogue.pruned", 0) == 0
 
+    @pytest.mark.parametrize("mode", ["probe", "analytical"])
+    def test_oversized_advisory_counts_every_candidate_as_a_reject(self, mode):
+        # A job wider than the cluster fails the prefilter at every
+        # candidate (earliest plus the two distinct booking ends); the one
+        # horizon probe then reports the verdict.
+        registry = MetricsRegistry()
+        negotiator, ledger = build(mode, registry=registry)
+        ledger.reserve(90, range(4), 0.0, HOUR)
+        ledger.reserve(91, range(4, 8), 0.0, HOUR)
+        ledger.reserve(92, range(8), HOUR, 2 * HOUR)
+        result = negotiator.suggest_deadline(
+            9, HOUR, 0.0, target_probability=0.5
+        )
+        assert result.status == "infeasible"
+        tally = counters(registry)
+        assert tally["negotiation.dialogue.prefilter_rejects"] == 3
+        assert tally["negotiation.dialogue.probes"] == 1
+
     def test_pruned_candidates_counted_separately_from_probes(self):
         trace = generate_failure_trace(
             60 * 86400.0, FailureModelSpec(nodes=8, rate_per_day=24.0), seed=3
