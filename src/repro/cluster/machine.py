@@ -4,6 +4,11 @@ Owns live node state (up/down, which job runs where) and the failure/
 recovery mechanics; scheduling-time bookings live in
 :class:`~repro.cluster.reservations.ReservationLedger`, which the cluster
 also hosts so callers deal with a single façade.
+
+Start checks read one int bitmask of the nodes that are down or busy, so
+:meth:`Cluster.nodes_available` is one AND against the partition's mask
+instead of a walk over its nodes; the :class:`Node` records stay the
+per-node truth (repair time, failure count, occupying job).
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.node import Node, NodeState
+from repro.cluster.nodeset import NodeSet
 from repro.cluster.reservations import ReservationLedger
 from repro.obs.prof import Profiler
 from repro.obs.registry import MetricsRegistry
@@ -55,6 +61,9 @@ class Cluster:
         else:
             self.ledger = ReservationLedger(node_count)
         self._job_nodes: Dict[int, List[int]] = {}
+        # Bit n is set while node n is down or busy: a start needs none of
+        # its partition's bits set.
+        self._blocked = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -95,11 +104,7 @@ class Cluster:
 
     def nodes_available(self, node_indexes: Sequence[int]) -> bool:
         """True if every listed node is up and idle (start precondition)."""
-        for index in node_indexes:
-            node = self._nodes[index]
-            if not node.is_up or node.is_busy:
-                return False
-        return True
+        return not self._blocked & self._mask_of(node_indexes)
 
     def busy_node_count(self) -> int:
         """Number of nodes currently occupied by jobs."""
@@ -114,24 +119,40 @@ class Cluster:
             raise ValueError(f"job {job_id} is already running")
         if not node_indexes:
             raise ValueError(f"job {job_id}: empty node list")
-        if not self.nodes_available(node_indexes):
+        mask = self._mask_of(node_indexes)
+        if self._blocked & mask:
             raise ValueError(
                 f"job {job_id}: nodes {list(node_indexes)} not all up and idle"
             )
-        for index in node_indexes:
-            self._nodes[index].assign(job_id)
-        self._job_nodes[job_id] = sorted(node_indexes)
+        ordered = (
+            node_indexes.to_list()
+            if isinstance(node_indexes, NodeSet)
+            else sorted(node_indexes)
+        )
+        if len(ordered) != bin(mask).count("1"):
+            raise ValueError(f"job {job_id}: duplicate nodes in {ordered}")
+        # Validated once against the mask: every node is up and idle.
+        nodes = self._nodes
+        for index in ordered:
+            nodes[index].running_job = job_id
+        self._blocked |= mask
+        self._job_nodes[job_id] = ordered
 
     def remove_job(self, job_id: int) -> List[int]:
         """Release a job's nodes (finish or kill); returns the node list."""
         node_indexes = self._job_nodes.pop(job_id, None)
         if node_indexes is None:
             raise KeyError(f"job {job_id} is not running")
+        freed = self._mask_of(node_indexes)
         for index in node_indexes:
             node = self._nodes[index]
             # A node that failed may already have been force-released.
             if node.running_job == job_id:
-                node.release(job_id)
+                node.running_job = None
+            # A failed node stays blocked until its recovery.
+            if node.running_job is not None or node.state is NodeState.DOWN:
+                freed &= ~(1 << index)
+        self._blocked &= ~freed
         return node_indexes
 
     # ------------------------------------------------------------------
@@ -148,11 +169,19 @@ class Cluster:
         node = self._nodes[node_index]
         victim = node.running_job
         recovery = node.fail(now, self.downtime)
+        self._blocked |= 1 << node_index
         return victim, recovery
 
     def recover_node(self, node_index: int, now: float) -> None:
-        """Recovery-event handler: bring a node back up."""
-        self._nodes[node_index].recover(now)
+        """Recovery-event handler: bring a node back up.
+
+        A stale recovery (the node failed again inside its repair window)
+        leaves it down, and so blocked.
+        """
+        node = self._nodes[node_index]
+        node.recover(now)
+        if node.state is NodeState.UP and node.running_job is None:
+            self._blocked &= ~(1 << node_index)
 
     def down_until(self, node_index: int) -> float:
         """Repair completion time for a down node (0.0 if up)."""
@@ -162,3 +191,23 @@ class Cluster:
     def latest_recovery(self, node_indexes: Sequence[int]) -> float:
         """Latest ``down_until`` among the listed nodes (0.0 if all up)."""
         return max((self.down_until(i) for i in node_indexes), default=0.0)
+
+    def _mask_of(self, node_indexes: Sequence[int]) -> int:
+        """The bitmask (bit n = node n) of ``node_indexes``, in any order.
+
+        Raises:
+            IndexError: A node index at or past the cluster width.
+            ValueError: A negative node index.
+        """
+        if isinstance(node_indexes, NodeSet):
+            mask = node_indexes.mask()
+        else:
+            mask = 0
+            for index in node_indexes:
+                mask |= 1 << index
+        if mask >> len(self._nodes):
+            raise IndexError(
+                f"node index out of range [0, {len(self._nodes)}) in "
+                f"{list(node_indexes)}"
+            )
+        return mask

@@ -217,6 +217,14 @@ class NodeSet:
     def run_count(self) -> int:
         return len(self._runs)
 
+    def mask(self) -> int:
+        """The members as one int bitmask (bit n = node n), one block per
+        run."""
+        mask = 0
+        for start, stop in self._runs:
+            mask |= ((1 << (stop - start)) - 1) << start
+        return mask
+
     @property
     def min_node(self) -> int:
         """Smallest member (O(1)); raises ValueError on the empty set."""
@@ -233,7 +241,10 @@ class NodeSet:
 
     def to_list(self) -> List[int]:
         """Materialise as an ascending list (the legacy representation)."""
-        return list(self)
+        nodes: List[int] = []
+        for start, stop in self._runs:
+            nodes.extend(range(start, stop))
+        return nodes
 
     # ------------------------------------------------------------------
     # Set algebra (all O(runs of self + runs of other))

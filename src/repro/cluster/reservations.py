@@ -45,9 +45,13 @@ the substrate"):
   until ``size`` free nodes fit, so its run steps cost the prefix, not
   the cluster width.  Mutations find a booking by bisecting on its
   start, then job id;
-* the aggregate usage **skyline** — a delta map maintained by every
-  mutation and materialised into a :class:`CapacityProfile` (flat
-  ``array`` boundaries and levels) once per mutation generation.  Its
+* the aggregate usage **skyline** — two parallel lists kept sorted in
+  place by every mutation: the times at which the booked node count
+  changes and the (nonzero) change at each.  A mutation bisects into
+  them and adds to, inserts or deletes one entry; once per mutation
+  generation :meth:`ReservationLedger.profile` copies them into a
+  :class:`CapacityProfile` (flat ``array`` boundaries, and levels as a
+  running sum of the changes) with no sort.  Its
   :meth:`~CapacityProfile.fitting_starts` walk hands callers only the
   candidate starts that pass the capacity prefilter: it jumps straight
   past every over-capacity stretch instead of testing each booking end
@@ -61,10 +65,8 @@ import bisect
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, islice, repeat
+from itertools import accumulate, compress, islice, repeat
 from operator import lt, or_
-
-import numpy as np
 from typing import (
     Dict,
     Iterable,
@@ -106,8 +108,10 @@ class CapacityProfile:
     build; a million-boundary skyline is ~16 MB instead of a forest of
     boxed floats.
 
-    Construct from a reservation list, or from an already-maintained delta
-    map via :meth:`from_deltas` (the ledger's incremental path).
+    Construct from a reservation list (one sort), or from an
+    already-sorted skyline via :meth:`from_skyline` (the ledger's
+    incremental path).  Both end in :meth:`_load`, so the buffers are
+    byte-identical for the same bookings.
     """
 
     def __init__(self, reservations: Sequence["Reservation"]) -> None:
@@ -116,52 +120,24 @@ class CapacityProfile:
             width = len(r.nodes)
             deltas[r.start] = deltas.get(r.start, 0) + width
             deltas[r.end] = deltas.get(r.end, 0) - width
-        self._build(deltas)
+        # Zero deltas (e.g. one booking ending exactly where another
+        # starts) change no level and are dropped.
+        times = sorted(t for t, d in deltas.items() if d)
+        self._load(times, [deltas[t] for t in times])
 
     @classmethod
-    def from_deltas(cls, deltas: Dict[float, int]) -> "CapacityProfile":
-        """Materialise a profile from a ``{time: usage delta}`` map."""
+    def from_skyline(
+        cls, times: Sequence[float], deltas: Sequence[int]
+    ) -> "CapacityProfile":
+        """Materialise a profile from ascending change ``times`` and the
+        nonzero usage change at each."""
         profile = cls.__new__(cls)
-        profile._build(deltas)
+        profile._load(times, deltas)
         return profile
 
-    def _build(self, deltas: Dict[float, int]) -> None:
-        # Vector path pays off once fromiter/argsort amortise their fixed
-        # cost; below that the plain loop wins.  Both produce byte-identical
-        # arrays (int64 cumsum is exact), so the cutover is invisible.
-        if len(deltas) >= 64:
-            self._build_vector(deltas)
-            return
-        # Zero deltas (e.g. one booking ending exactly where another
-        # starts) change no level and can be dropped.
-        boundaries = sorted(t for t, d in deltas.items() if d)
-        self._boundaries = array("d", boundaries)
-        usage = array("q", bytes(8 * len(boundaries)))
-        level = 0
-        for i, t in enumerate(boundaries):
-            level += deltas[t]
-            usage[i] = level
-        self._usage = usage
-
-    def _build_vector(self, deltas: Dict[float, int]) -> None:
-        """Vectorised :meth:`_build`: sort/cumsum in numpy.
-
-        Boundary times are unique dict keys, so the argsort permutation is
-        unambiguous, and the running levels are an exact int64 cumsum —
-        the resulting buffers are byte-for-byte the ones the scalar loop
-        produces.
-        """
-        count = len(deltas)
-        times = np.fromiter(deltas.keys(), dtype=np.float64, count=count)
-        changes = np.fromiter(deltas.values(), dtype=np.int64, count=count)
-        live = changes != 0
-        times = times[live]
-        changes = changes[live]
-        order = np.argsort(times)
-        self._boundaries = array("d")
-        self._boundaries.frombytes(times[order].tobytes())
-        self._usage = array("q")
-        self._usage.frombytes(np.cumsum(changes[order]).tobytes())
+    def _load(self, times: Sequence[float], deltas: Sequence[int]) -> None:
+        self._boundaries = array("d", times)
+        self._usage = array("q", accumulate(deltas))
 
     def max_usage(self, start: float, end: float) -> int:
         """Maximum booked node count over ``[start, end)``."""
@@ -308,9 +284,10 @@ class ReservationLedger:
         self._by_job: Dict[int, Reservation] = {}
         # Sorted multiset of reservation end times (candidate start points).
         self._end_times: List[float] = []
-        # Aggregate usage skyline, maintained incrementally: time -> net
-        # change in booked node count at that instant (zero entries pruned).
-        self._deltas: Dict[float, int] = {}
+        # Aggregate usage skyline, kept sorted in place: the times at which
+        # the booked node count changes and the change there (never 0).
+        self._sky_times: List[float] = []
+        self._sky_deltas: List[int] = []
         # Cache generations: every mutation bumps _version; the profile and
         # the sorted reservation view rebuild at most once per generation.
         self._version = 0
@@ -378,18 +355,22 @@ class ReservationLedger:
     def profile(self) -> CapacityProfile:
         """The current capacity profile (cached between mutations).
 
-        The skyline deltas are maintained incrementally by every mutation;
-        this method only pays to materialise boundary/level arrays on the
-        first call after a mutation.  During a negotiation dialogue —
-        hundreds of probes, zero mutations — every call after the first is
-        O(1).
+        The sorted skyline lists are maintained in place by every
+        mutation; this method only copies them into boundary/level arrays
+        on the first call after a mutation.  During a negotiation dialogue
+        — hundreds of probes, zero mutations — every call after the first
+        is O(1).
         """
         if self._profile is None or self._profile_version != self._version:
             if self._prof:
                 with self._z_profile_rebuild:
-                    self._profile = CapacityProfile.from_deltas(self._deltas)
+                    self._profile = CapacityProfile.from_skyline(
+                        self._sky_times, self._sky_deltas
+                    )
             else:
-                self._profile = CapacityProfile.from_deltas(self._deltas)
+                self._profile = CapacityProfile.from_skyline(
+                    self._sky_times, self._sky_deltas
+                )
             self._profile_version = self._version
             if self._obs:
                 self._c_profile_misses.inc()
@@ -768,10 +749,7 @@ class ReservationLedger:
         ``nodes``: one block per run of a :class:`NodeSet`, one pass over
         a byte buffer for any other sequence."""
         if isinstance(nodes, NodeSet):
-            mask = 0
-            for lo, hi in nodes.runs:
-                mask |= ((1 << (hi - lo)) - 1) << lo
-            return mask
+            return nodes.mask()
         buf = bytearray(nodes[-1] // 8 + 1)
         for node in nodes:
             buf[node >> 3] |= 1 << (node & 7)
@@ -806,12 +784,20 @@ class ReservationLedger:
             raise ValueError(f"node {node} out of range [0, {self._n})")
 
     def _shift_delta(self, time: float, change: int) -> None:
-        """Apply a usage delta at ``time``; zero entries are pruned."""
-        value = self._deltas.get(time, 0) + change
-        if value:
-            self._deltas[time] = value
+        """Apply a nonzero usage change at ``time``: add to the skyline
+        entry there, insert one, or delete it when it cancels to 0."""
+        times = self._sky_times
+        idx = bisect.bisect_left(times, time)
+        if idx < len(times) and times[idx] == time:
+            value = self._sky_deltas[idx] + change
+            if value:
+                self._sky_deltas[idx] = value
+            else:
+                del times[idx]
+                del self._sky_deltas[idx]
         else:
-            self._deltas.pop(time, None)
+            times.insert(idx, time)
+            self._sky_deltas.insert(idx, change)
 
     def _record_find_slot(self, probes: int, rejects: int) -> None:
         """Fold one find_slot call's local tallies into the registry."""
@@ -827,7 +813,7 @@ class ReservationLedger:
         if self._obs:
             self._c_mutations.inc()
             self._g_reservations.set(len(self._by_job))
-            self._g_skyline.set(len(self._deltas))
+            self._g_skyline.set(len(self._sky_times))
 
     def _remove_end_time(self, end: float) -> None:
         idx = bisect.bisect_left(self._end_times, end)

@@ -19,6 +19,7 @@ seed, configuration).
 
 from __future__ import annotations
 
+import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -329,6 +330,9 @@ class ProbabilisticQoSSystem:
         self.policy: CheckpointPolicy = policy_by_name(config.checkpoint_policy)
         self.metrics = MetricsCollector()
         self.recorder: TraceRecorder = recorder if recorder is not None else NullRecorder()
+        # Handlers build trace records (kwargs, node-list copies, verdicts)
+        # only when a live recorder will keep them.
+        self._trace_on = not isinstance(self.recorder, NullRecorder)
         self._span_builder: Optional[SpanBuilder] = (
             recorder if isinstance(recorder, SpanBuilder) else None
         )
@@ -405,6 +409,11 @@ class ProbabilisticQoSSystem:
     # ------------------------------------------------------------------
     def run(self, max_events: Optional[int] = None) -> SimulationResult:
         """Replay the workload to completion and return the metrics."""
+        if self._prof:
+            # The run's wall time and the part of it zones cover: the rest
+            # is the profile's unattributed share.
+            run_t0 = time.perf_counter_ns()  # qoslint: disable=QOS102 -- profiler run clock: wall ns go to the profile only, never to sim state
+            zoned_0 = self.profiler.child_ns()
         self._prime()
         if self.sampler is not None:
             # First row at the origin, then one per interval; the chain
@@ -438,24 +447,28 @@ class ProbabilisticQoSSystem:
                     "events_processed": self.loop.processed_events,
                 }
             )
+        metrics = self.metrics.finalize(self.config.node_count)
+        prof = None
+        if self._prof:
+            self.profiler.add_run(
+                time.perf_counter_ns() - run_t0,  # qoslint: disable=QOS102 -- profiler run clock: wall ns go to the profile only
+                self.profiler.child_ns() - zoned_0,
+            )
+            prof = self.profiler.snapshot(
+                meta={
+                    "workload_jobs": len(self.workload),
+                    "events_processed": self.loop.processed_events,
+                }
+            )
         return SimulationResult(
-            metrics=self.metrics.finalize(self.config.node_count),
+            metrics=metrics,
             config=self.config,
             outcomes=self.metrics.outcomes(),
             events_processed=self.loop.processed_events,
             obs=self.registry.snapshot() if self._obs else None,
             spans=spans,
             audit=audit,
-            prof=(
-                self.profiler.snapshot(
-                    meta={
-                        "workload_jobs": len(self.workload),
-                        "events_processed": self.loop.processed_events,
-                    }
-                )
-                if self._prof
-                else None
-            ),
+            prof=prof,
         )
 
     # ------------------------------------------------------------------
@@ -475,22 +488,23 @@ class ProbabilisticQoSSystem:
         state.reserved_end = outcome.reserved_end
         state.reserved_nodes = outcome.nodes
         self.metrics.record_guarantee(job.job_id, outcome.guarantee, outcome.forced)
-        self.recorder.record(
-            self.loop.now,
-            "negotiated",
-            job_id=job.job_id,
-            deadline=outcome.guarantee.deadline,
-            probability=outcome.guarantee.probability,
-            predicted_pf=outcome.guarantee.predicted_failure_probability,
-            user_threshold=self.config.user_threshold,
-            planned_start=outcome.start,
-            planned_nodes=list(outcome.nodes),
-            size=job.size,
-            user_id=job.user_id,
-            offers_made=outcome.offers_made,
-            offers_declined=outcome.guarantee.offers_declined,
-            forced=outcome.forced,
-        )
+        if self._trace_on:
+            self.recorder.record(
+                self.loop.now,
+                "negotiated",
+                job_id=job.job_id,
+                deadline=outcome.guarantee.deadline,
+                probability=outcome.guarantee.probability,
+                predicted_pf=outcome.guarantee.predicted_failure_probability,
+                user_threshold=self.config.user_threshold,
+                planned_start=outcome.start,
+                planned_nodes=list(outcome.nodes),
+                size=job.size,
+                user_id=job.user_id,
+                offers_made=outcome.offers_made,
+                offers_declined=outcome.guarantee.offers_declined,
+                forced=outcome.forced,
+            )
         if self._audit_on:
             self.audit.observe_promise(
                 job_id=job.job_id,
@@ -527,11 +541,12 @@ class ProbabilisticQoSSystem:
             return
 
         self._pending.remove(job_id)
-        self.cluster.start_job(job_id, list(state.reserved_nodes))
+        self.cluster.start_job(job_id, state.reserved_nodes)
         self.metrics.record_start(job_id, now)
-        self.recorder.record(
-            now, "start", job_id=job_id, nodes=list(state.reserved_nodes)
-        )
+        if self._trace_on:
+            self.recorder.record(
+                now, "start", job_id=job_id, nodes=list(state.reserved_nodes)
+            )
         remaining = state.job.runtime - state.saved_progress
         state.run = JobRun(
             job_id=job_id,
@@ -603,14 +618,15 @@ class ProbabilisticQoSSystem:
         else:
             run.skip_checkpoint(now)
             self.metrics.record_checkpoint(job_id, performed=False)
-            self.recorder.record(
-                now,
-                "checkpoint_skipped",
-                job_id=job_id,
-                reason=decision.reason,
-                p_f=decision.failure_probability,
-                at_risk=decision.at_risk,
-            )
+            if self._trace_on:
+                self.recorder.record(
+                    now,
+                    "checkpoint_skipped",
+                    job_id=job_id,
+                    reason=decision.reason,
+                    p_f=decision.failure_probability,
+                    at_risk=decision.at_risk,
+                )
             self._schedule_run_event(state)
 
     def _on_checkpoint_start(self, event: Event) -> None:
@@ -639,13 +655,14 @@ class ProbabilisticQoSSystem:
         )
         decision = state.pending_decision
         state.pending_decision = None
-        self.recorder.record(
-            self.loop.now, "checkpoint_performed", job_id=job_id,
-            saved_progress=run.saved_progress,
-            began_at=run.last_checkpoint_start,
-            reason=decision.reason if decision is not None else None,
-            p_f=decision.failure_probability if decision is not None else None,
-        )
+        if self._trace_on:
+            self.recorder.record(
+                self.loop.now, "checkpoint_performed", job_id=job_id,
+                saved_progress=run.saved_progress,
+                began_at=run.last_checkpoint_start,
+                reason=decision.reason if decision is not None else None,
+                p_f=decision.failure_probability if decision is not None else None,
+            )
         if self.config.proactive_evacuation and self._maybe_evacuate(state):
             return
         self._schedule_run_event(state)
@@ -671,15 +688,16 @@ class ProbabilisticQoSSystem:
         if self._obs:
             self._c_completed.inc()
         guarantee = state.guarantee
-        self.recorder.record(
-            now,
-            "finish",
-            job_id=job_id,
-            deadline=guarantee.deadline if guarantee is not None else None,
-            promised=guarantee.probability if guarantee is not None else None,
-            met=guarantee.kept(now) if guarantee is not None else None,
-            margin=guarantee.margin(now) if guarantee is not None else None,
-        )
+        if self._trace_on:
+            self.recorder.record(
+                now,
+                "finish",
+                job_id=job_id,
+                deadline=guarantee.deadline if guarantee is not None else None,
+                promised=guarantee.probability if guarantee is not None else None,
+                met=guarantee.kept(now) if guarantee is not None else None,
+                margin=guarantee.margin(now) if guarantee is not None else None,
+            )
         if self._audit_on:
             self.audit.observe_outcome(job_id=job_id, finish_time=now)
         self._after_capacity_freed(now)
@@ -692,8 +710,9 @@ class ProbabilisticQoSSystem:
         now = self.loop.now
         victim_id, recovery = self.cluster.fail_node(node, now)
         self.loop.schedule(recovery, EventKind.RECOVERY, node=node)
-        self.recorder.record(now, "failure", node=node, victim=victim_id)
-        self.recorder.record(now, "node_down", node=node, until=recovery)
+        if self._trace_on:
+            self.recorder.record(now, "failure", node=node, victim=victim_id)
+            self.recorder.record(now, "node_down", node=node, until=recovery)
 
         if victim_id is not None:
             self._kill_job(victim_id, now)
@@ -709,12 +728,13 @@ class ProbabilisticQoSSystem:
         assert run is not None, f"victim {job_id} has no active run"
         lost_wall, durable = run.kill(now)
         self.metrics.record_failure_hit(job_id, lost_wall * state.job.size)
-        self.recorder.record(
-            now, "killed", job_id=job_id,
-            lost_node_seconds=lost_wall * state.job.size,
-            lost_wall_seconds=lost_wall,
-            durable_progress=durable,
-        )
+        if self._trace_on:
+            self.recorder.record(
+                now, "killed", job_id=job_id,
+                lost_node_seconds=lost_wall * state.job.size,
+                lost_wall_seconds=lost_wall,
+                durable_progress=durable,
+            )
         state.saved_progress = durable
         state.pending_decision = None
         state.run = None
@@ -736,10 +756,11 @@ class ProbabilisticQoSSystem:
         state.reserved_start = booking.start
         state.reserved_end = booking.end
         state.reserved_nodes = booking.nodes
-        self.recorder.record(
-            now, "requeued", job_id=job_id, restart_at=booking.start,
-            nodes=list(booking.nodes),
-        )
+        if self._trace_on:
+            self.recorder.record(
+                now, "requeued", job_id=job_id, restart_at=booking.start,
+                nodes=list(booking.nodes),
+            )
         state.start_event = self.loop.schedule(
             booking.start, EventKind.START, job_id=job_id
         )
@@ -804,19 +825,21 @@ class ProbabilisticQoSSystem:
         self.metrics.record_evacuation(job_id)
         if self._obs:
             self._c_evacuations.inc()
-        self.recorder.record(
-            now, "evacuated", job_id=job_id, predicted_pf=p_f, nodes=list(nodes)
-        )
+        if self._trace_on:
+            self.recorder.record(
+                now, "evacuated", job_id=job_id, predicted_pf=p_f, nodes=list(nodes)
+            )
         self.cluster.ledger.reserve(
             job_id, chosen.nodes, chosen.start, chosen.deadline
         )
         state.reserved_start = chosen.start
         state.reserved_end = chosen.deadline
         state.reserved_nodes = chosen.nodes
-        self.recorder.record(
-            now, "requeued", job_id=job_id, restart_at=chosen.start,
-            nodes=list(chosen.nodes),
-        )
+        if self._trace_on:
+            self.recorder.record(
+                now, "requeued", job_id=job_id, restart_at=chosen.start,
+                nodes=list(chosen.nodes),
+            )
         state.start_event = self.loop.schedule(
             chosen.start, EventKind.START, job_id=job_id
         )
@@ -826,7 +849,7 @@ class ProbabilisticQoSSystem:
     def _on_recovery(self, event: Event) -> None:
         node = event.payload["node"]
         self.cluster.recover_node(node, self.loop.now)
-        if self.cluster.node(node).is_up:
+        if self._trace_on and self.cluster.node(node).is_up:
             self.recorder.record(self.loop.now, "node_up", node=node)
         self._after_capacity_freed(self.loop.now)
 

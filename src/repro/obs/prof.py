@@ -33,6 +33,11 @@ Design constraints, in order (mirroring :mod:`repro.obs.registry`):
 * **No third-party deps.**  Snapshots are JSON dicts; the collapsed
   export is the classic FlameGraph / speedscope ``frame;frame value``
   stack format.
+* **No silent blind spots.**  A simulation run reports its whole wall
+  time and the part of it its zones cover (:meth:`Profiler.add_run`);
+  both ride in the snapshot meta as ``run_wall_ns``/``run_zoned_ns`` and
+  the report states the rest as its *unattributed* share
+  (:func:`unattributed_share`).
 
 Zone names follow the repo-wide ``<layer>.<component>.<name>`` scheme,
 validated at :meth:`Profiler.zone` registration and statically by the
@@ -129,6 +134,11 @@ class Profiler:
         # bucket index -> zone name -> [calls, self_ns]
         self._buckets: Dict[int, Dict[str, List[int]]] = {}
         self._zones: Dict[str, Zone] = {}
+        # Elapsed ns of zones closed with no zone open around them.
+        self._top_ns = 0
+        # Simulation runs: their wall ns, and the ns their zones covered.
+        self._run_wall_ns = 0
+        self._run_zoned_ns = 0
 
     # ------------------------------------------------------------------
     # Zone access
@@ -186,6 +196,8 @@ class Profiler:
         node.self_ns += self_ns
         if self._frames:
             self._frames[-1][2] += elapsed
+        else:
+            self._top_ns += elapsed
         slots = self._buckets.get(bucket)
         if slots is None:
             slots = self._buckets[bucket] = {}
@@ -196,6 +208,18 @@ class Profiler:
             slot[0] += 1
             slot[1] += self_ns
 
+    def child_ns(self) -> int:
+        """Elapsed ns of the zones closed so far directly under the
+        innermost open zone (at top level when none is open).  Its change
+        over a stretch of code is the time zones covered in it."""
+        return self._frames[-1][2] if self._frames else self._top_ns
+
+    def add_run(self, wall_ns: int, zoned_ns: int) -> None:
+        """Account one simulation run: its wall ns and the ns its zones
+        covered (a :meth:`child_ns` difference over the run)."""
+        self._run_wall_ns += wall_ns
+        self._run_zoned_ns += zoned_ns
+
     # ------------------------------------------------------------------
     # Snapshots and merging
     # ------------------------------------------------------------------
@@ -204,11 +228,17 @@ class Profiler:
 
         Open zones contribute nothing until they pop; snapshotting is
         intended for quiescent profilers (end of run / end of worker).
+        Once a run was accounted, ``meta`` also carries ``run_wall_ns``
+        and ``run_zoned_ns``.
         """
+        meta = dict(meta) if meta else {}
+        if self._run_wall_ns:
+            meta["run_wall_ns"] = self._run_wall_ns
+            meta["run_zoned_ns"] = self._run_zoned_ns
         return {
             "schema": PROF_SCHEMA_VERSION,
             "bucket_width": self.bucket_width,
-            "meta": dict(meta) if meta else {},
+            "meta": meta,
             "root": _node_to_dict(self._root),
             "buckets": {
                 str(index): {
@@ -246,6 +276,10 @@ class Profiler:
                 f"({self.bucket_width} vs {width})"
             )
         _merge_node(self._root, snapshot.get("root", {}))
+        meta = snapshot.get("meta", {})
+        self.add_run(
+            int(meta.get("run_wall_ns", 0)), int(meta.get("run_zoned_ns", 0))
+        )
         for index_key, zones in sorted(snapshot.get("buckets", {}).items()):
             index = int(index_key)
             slots = self._buckets.get(index)
@@ -440,6 +474,16 @@ def total_ns(snapshot: Dict[str, Any]) -> int:
     )
 
 
+def unattributed_share(snapshot: Dict[str, Any]) -> Optional[float]:
+    """Share of the runs' wall time that no zone covered, or None when
+    the snapshot accounts no run (``meta.run_wall_ns``)."""
+    meta = snapshot.get("meta", {})
+    wall = meta.get("run_wall_ns", 0)
+    if not wall:
+        return None
+    return 1.0 - meta.get("run_zoned_ns", 0) / wall
+
+
 # ----------------------------------------------------------------------
 # Collapsed-stack (FlameGraph / speedscope) export
 # ----------------------------------------------------------------------
@@ -517,6 +561,13 @@ def render_report(
         f"Profile: {zone_count} zones, {_fmt_ns(total)} profiled wall time"
         f" (sim-time buckets of {snapshot.get('bucket_width', 0.0):g} s)"
     )
+    unattributed = unattributed_share(snapshot)
+    if unattributed is not None:
+        lines.append(
+            f"  unattributed: {unattributed * 100.0:.1f}% of "
+            f"{_fmt_ns(meta['run_wall_ns'])} simulation run wall time "
+            "lies outside every zone"
+        )
     for key in sorted(meta):
         lines.append(f"  {key}: {meta[key]}")
 

@@ -45,8 +45,9 @@ QueueItem = Tuple[SortKey, Event]
 class EventQueue(Protocol):
     """What the engine needs from a queue backend."""
 
-    def push(self, event: Event) -> None:
-        """Insert an event (its ``sort_key()`` is the priority)."""
+    def push(self, event: Event, key: Optional[SortKey] = None) -> None:
+        """Insert an event under ``key``, its ``sort_key()`` when not
+        given (the engine passes the key it already built)."""
 
     def pop(self) -> Optional[Event]:
         """Remove and return the minimal live event; None when drained."""
@@ -63,8 +64,10 @@ class HeapEventQueue:
     def __init__(self) -> None:
         self._heap: List[QueueItem] = []
 
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, (event.sort_key(), event))
+    def push(self, event: Event, key: Optional[SortKey] = None) -> None:
+        if key is None:
+            key = event.sort_key()
+        heapq.heappush(self._heap, (key, event))
 
     def peek(self) -> Optional[Event]:
         while self._heap:
@@ -123,8 +126,9 @@ class CalendarEventQueue:
     def _virtual_bucket(self, time: float) -> int:
         return math.floor(time / self._width)
 
-    def push(self, event: Event) -> None:
-        key = event.sort_key()
+    def push(self, event: Event, key: Optional[SortKey] = None) -> None:
+        if key is None:
+            key = event.sort_key()
         item = (key, event)
         vb = self._virtual_bucket(key[0])
         insort(self._buckets[vb % self._nbuckets], item)

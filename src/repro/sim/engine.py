@@ -25,17 +25,27 @@ Design notes
 * **Monotonic time.**  Scheduling an event in the past raises
   :class:`SimulationError`; this catches logic bugs early instead of silently
   reordering history.
+* **Per-event cost.**  Every job pays for a handful of events, so the
+  fixed cost per event is kept small: :meth:`EventLoop.schedule` builds
+  the ``(time, rank, seq)`` key once and hands it to the queue, keeps the
+  fresh ``**payload`` dict instead of copying it, and reuses one bound
+  cancel hook; handlers live in a list indexed by the kind's rank, so no
+  dispatch hashes the :class:`~repro.sim.events.EventKind` enum; and
+  :meth:`EventLoop.run` pops once per event through :meth:`EventLoop.step`,
+  peeking ahead only when a horizon (``until``) is given.  The registry,
+  profiler and dispatch-count paths sit in the same loop behind one bool
+  each.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.prof import NULL_PROFILER, Profiler, Zone
 from repro.obs.registry import NULL_REGISTRY, Counter, Histogram, MetricsRegistry
 from repro.sim.calendar_queue import EVENT_QUEUE_KINDS, EventQueue, make_event_queue
-from repro.sim.events import Event, EventKind
+from repro.sim.events import TIE_BREAK_ORDER, Event, EventKind
 from repro.sim.units import SimSeconds
 
 Handler = Callable[[Event], None]
@@ -84,7 +94,10 @@ class EventLoop:
         self._queue_kind = queue
         self._seq = 0
         self._live = 0
-        self._handlers: Dict[EventKind, Handler] = {}
+        # Handlers indexed by kind rank: no enum hash per dispatch.
+        self._handlers: List[Optional[Handler]] = [None] * len(TIE_BREAK_ORDER)
+        # The uninstrumented cancel hook, bound once for every event.
+        self._cancel_hook = self._on_cancel
         self._processed = 0
         self._running = False
         self._stopped = False
@@ -151,7 +164,7 @@ class EventLoop:
     # ------------------------------------------------------------------
     def register(self, kind: EventKind, handler: Handler) -> None:
         """Bind ``handler`` to ``kind``, replacing any previous binding."""
-        self._handlers[kind] = handler
+        self._handlers[kind.rank] = handler
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -176,16 +189,17 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule {kind.value} at t={time} before now={self._now}"
             )
-        event = Event(time=float(time), kind=kind, payload=dict(payload), seq=self._seq)
+        time = float(time)
+        seq = self._seq
+        # ``**payload`` is already a fresh dict: no copy.
+        event = Event(time, kind, payload, seq, False, self._cancel_hook)
         if self._obs:
             self._registry.counter("sim.engine.scheduled").inc()
             self._live_by_kind[kind] = self._live_by_kind.get(kind, 0) + 1
             event.on_cancel = lambda k=kind: self._on_cancel_kind(k)
-        else:
-            event.on_cancel = self._on_cancel
-        self._seq += 1
+        self._seq = seq + 1
         self._live += 1
-        self._queue.push(event)
+        self._queue.push(event, (time, kind.rank, seq))
         return event
 
     def schedule_in(
@@ -212,15 +226,17 @@ class EventLoop:
         event.on_cancel = None
         self._live -= 1
         self._now = event.time
-        handler = self._handlers.get(event.kind)
+        handler = self._handlers[event.kind.rank]
         if handler is None:
             raise SimulationError(f"no handler registered for {event.kind.value}")
         if self._prof:
             self._profiler.set_sim_time(event.time)
             with self._dispatch_zone(event.kind):
                 self._invoke(handler, event)
-        else:
+        elif self._obs:
             self._invoke(handler, event)
+        else:
+            handler(event)
         if self._count_dispatch:
             key = event.kind.value
             self._dispatch_counts[key] = self._dispatch_counts.get(key, 0) + 1
@@ -254,17 +270,21 @@ class EventLoop:
         self._running = True
         self._stopped = False
         dispatched = 0
+        step = self.step
         try:
             while not self._stopped:
                 if max_events is not None and dispatched >= max_events:
                     break
-                next_time = self.peek_time()
-                if next_time is None:
+                # Only a horizon needs the next time before popping.
+                if until is not None:
+                    next_time = self.peek_time()
+                    if next_time is None:
+                        break
+                    if next_time > until:
+                        self._now = max(self._now, until)
+                        break
+                if step() is None:
                     break
-                if until is not None and next_time > until:
-                    self._now = max(self._now, until)
-                    break
-                self.step()
                 dispatched += 1
         finally:
             self._running = False

@@ -26,7 +26,6 @@ the same instant as a finish does not kill the finished job.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Mapping, Optional
 
@@ -58,6 +57,11 @@ class EventKind(enum.Enum):
     #: sim-time cadence.  Never scheduled unless a sampler is attached.
     OBS_SAMPLE = "obs_sample"
 
+    #: This kind's :data:`TIE_BREAK_ORDER` rank, set once below.  A plain
+    #: attribute read: the engine indexes by it instead of hashing the
+    #: enum (``Enum.__hash__`` runs in Python) on every event.
+    rank: int
+
 
 #: Processing order for events that share a timestamp.  Lower comes first.
 #:
@@ -87,12 +91,18 @@ TIE_BREAK_ORDER: Mapping[EventKind, int] = MappingProxyType(
 )
 
 
-@dataclass
+# Every kind carries its rank; the mapping above stays the one source.
+for _kind, _rank in TIE_BREAK_ORDER.items():
+    _kind.rank = _rank
+del _kind, _rank
+
+
 class Event:
     """A scheduled occurrence in simulated time.
 
     Events are created through :meth:`repro.sim.engine.EventLoop.schedule`;
     user code normally only inspects ``time``, ``kind`` and ``payload``.
+    A slotted record: the engine makes one per scheduled event.
 
     Attributes:
         time: Simulated timestamp (seconds) at which the event fires.
@@ -102,18 +112,28 @@ class Event:
             makes processing order total and deterministic.
         cancelled: Lazily-deleted flag; cancelled events are skipped when
             popped rather than removed from the heap.
+        on_cancel: Set by the owning loop so it can keep an O(1)
+            live-event count; cleared once the event leaves the queue.
+            Not part of the public API.
     """
 
-    time: SimSeconds
-    kind: EventKind
-    payload: Dict[str, Any] = field(default_factory=dict)
-    seq: int = 0
-    cancelled: bool = False
-    #: Set by the owning loop so it can keep an O(1) live-event count;
-    #: cleared once the event leaves the heap.  Not part of the public API.
-    on_cancel: Optional[Callable[[], None]] = field(
-        default=None, repr=False, compare=False
-    )
+    __slots__ = ("time", "kind", "payload", "seq", "cancelled", "on_cancel")
+
+    def __init__(
+        self,
+        time: SimSeconds,
+        kind: EventKind,
+        payload: Optional[Dict[str, Any]] = None,
+        seq: int = 0,
+        cancelled: bool = False,
+        on_cancel: Optional[Callable[[], None]] = None,
+    ) -> None:
+        self.time = time
+        self.kind = kind
+        self.payload: Dict[str, Any] = {} if payload is None else payload
+        self.seq = seq
+        self.cancelled = cancelled
+        self.on_cancel = on_cancel
 
     def cancel(self) -> None:
         """Mark the event so the loop discards it instead of dispatching."""
@@ -125,7 +145,7 @@ class Event:
 
     def sort_key(self) -> tuple:
         """Total ordering key: (time, per-kind tie-break, insertion order)."""
-        return (self.time, TIE_BREAK_ORDER[self.kind], self.seq)
+        return (self.time, self.kind.rank, self.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""

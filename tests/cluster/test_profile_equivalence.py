@@ -6,7 +6,8 @@ sanctioned ``allow_overlap`` restores that make end times unsorted), the
 ledger must
 
 * report the same ``max_usage`` skyline as a from-scratch
-  :class:`CapacityProfile` rebuild,
+  :class:`CapacityProfile` rebuild, and hold byte-identical boundary and
+  level buffers to it (and to :func:`_skyline_bytes`, a plain recount),
 * answer ``node_free``/``free_nodes``/``candidate_times`` identically,
 * walk exactly the candidate starts the per-candidate ``window_fits``
   filter keeps (:func:`_filtered_starts`, the oracle), with the same skip
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from array import array
 
 import pytest
 
@@ -41,6 +43,28 @@ NODES = 12
 #: The wide variant: masks span several 64-bit words.
 WIDE_NODES = 200
 WIDE_SEQUENCES = 40
+
+
+def _skyline_bytes(reservations):
+    """The skyline's boundary and level buffers, recounted from scratch:
+    net change per instant, zero changes dropped, running sum."""
+    deltas = {}
+    for r in reservations:
+        deltas[r.start] = deltas.get(r.start, 0) + len(r.nodes)
+        deltas[r.end] = deltas.get(r.end, 0) - len(r.nodes)
+    times = sorted(t for t, d in deltas.items() if d)
+    levels, level = [], 0
+    for t in times:
+        level += deltas[t]
+        levels.append(level)
+    return array("d", times).tobytes(), array("q", levels).tobytes()
+
+
+def _check_profile_bytes(ledger):
+    """``ledger.profile()`` holds exactly the buffers of a rebuild."""
+    expected = _skyline_bytes(ledger.reservations())
+    for profile in (ledger.profile(), CapacityProfile(ledger.reservations())):
+        assert (profile._boundaries.tobytes(), profile._usage.tobytes()) == expected
 
 
 def _filtered_starts(ledger, earliest, duration, size):
@@ -117,6 +141,7 @@ def _check_equivalence(rng, fast: ReservationLedger, seed: SeedReservationLedger
     assert fast.reservations() == seed.reservations()
     assert fast.candidate_times(0.0) == seed.candidate_times(0.0)
 
+    _check_profile_bytes(fast)
     rebuilt = CapacityProfile(fast.reservations())
     incremental = fast.profile()
     for start, end in _probe_windows(rng, fast):
@@ -257,6 +282,44 @@ def test_reserve_conflict_names_the_lowest_busy_node():
     assert ledger.free_nodes_set(5.0, 6.0) == NodeSet(
         [(0, 70), (80, 150), (160, WIDE_NODES)]
     )
+
+
+def test_profile_buffers_through_cancelling_and_shared_boundaries():
+    ledger = ReservationLedger(8)
+    steps = [
+        lambda: ledger.reserve(1, [0, 1], 0.0, 10.0),
+        # Starts where job 1 ends: -2 and +2 cancel, no boundary at 10.
+        lambda: ledger.reserve(2, [2, 3], 10.0, 20.0),
+        lambda: ledger.reserve(3, [4], 5.0, 20.0),  # shares the end 20
+        lambda: ledger.truncate(3, 10.0),  # onto the cancelled instant
+        lambda: ledger.extend(1, 20.0),  # onto an existing boundary
+        lambda: ledger.reserve(4, [5, 6], 20.0, 30.0),  # cancels at 20
+        lambda: ledger.truncate(4, 25.0),
+        lambda: ledger.release(2),
+        lambda: ledger.extend(3, 25.0),  # onto job 4's new end
+        lambda: ledger.release(1),
+        lambda: ledger.release(3),
+        lambda: ledger.release(4),
+    ]
+    for step in steps:
+        step()
+        _check_profile_bytes(ledger)
+        if ledger.get(2) is not None and ledger.get(3) is None:
+            assert list(ledger.profile()._boundaries) == [0.0, 20.0]
+    assert len(ledger.profile()._boundaries) == 0
+    assert ledger._sky_times == [] and ledger._sky_deltas == []
+
+
+def test_skyline_size_gauge_counts_boundaries():
+    from repro.obs.registry import MetricsRegistry
+
+    registry = MetricsRegistry()
+    ledger = ReservationLedger(4, registry=registry)
+    ledger.reserve(1, [0], 0.0, 10.0)
+    ledger.reserve(2, [1], 10.0, 20.0)  # the change at 10 cancels
+    assert registry.gauge("cluster.ledger.skyline_size").value == 2
+    ledger.reserve(3, [2], 5.0, 15.0)
+    assert registry.gauge("cluster.ledger.skyline_size").value == 4
 
 
 def test_profile_is_cached_between_mutations():

@@ -323,7 +323,7 @@ class TestIncrementalCaches:
         assert ledger.profile().max_usage(25.0, 30.0) == 3
         ledger.release(1)
         assert ledger.profile().max_usage(0.0, 100.0) == 0
-        assert ledger._deltas == {}
+        assert ledger._sky_times == [] and ledger._sky_deltas == []
 
     def test_profile_counts_sanctioned_overlaps_twice(self, ledger):
         # An allow_overlap restore and its extended neighbour both book the

@@ -57,6 +57,12 @@ class TestRunWithProf:
         assert "sim.engine.dispatch" in out
         assert "Sim-time buckets" in out
 
+    def test_prof_report_states_the_unattributed_share(self, profile_path, capsys):
+        assert main(["prof", "report", str(profile_path)]) == 0
+        header = capsys.readouterr().out.splitlines()[:2]
+        assert header[1].startswith("  unattributed: ")
+        assert "% of " in header[1]
+
     def test_prof_export_collapsed_validates(self, profile_path, capsys):
         assert main(["prof", "export", str(profile_path)]) == 0
         collapsed = Path(str(profile_path) + ".collapsed").read_text()

@@ -24,6 +24,7 @@ from repro.obs.prof import (
     strip_wall_ns,
     to_collapsed,
     total_ns,
+    unattributed_share,
     validate_collapsed,
     walk_zones,
     write_profile,
@@ -352,3 +353,71 @@ class TestEndToEndDeterminism:
             f"null-profiler path diverged: default {default:.4f}s "
             f"vs null {null:.4f}s"
         )
+
+
+class TestUnattributedShare:
+    """The profile states how much of a run no zone covers."""
+
+    def test_share_is_the_run_wall_time_outside_zones(self):
+        prof = Profiler()
+        with prof.zone("a.b.c"):
+            pass
+        prof.add_run(1000, 250)
+        snapshot = prof.snapshot(meta={"k": "v"})
+        assert snapshot["meta"] == {
+            "k": "v", "run_wall_ns": 1000, "run_zoned_ns": 250,
+        }
+        assert unattributed_share(snapshot) == 0.75
+        header = render_report(snapshot).splitlines()[1]
+        assert header.startswith("  unattributed: 75.0% of 1.0us")
+
+    def test_merge_adds_run_totals(self):
+        one, two = Profiler(), Profiler()
+        one.add_run(1000, 250)
+        two.add_run(1000, 750)
+        one.merge_snapshot(two.snapshot())
+        assert unattributed_share(one.snapshot()) == 0.5
+
+    def test_no_run_accounted_means_no_share(self):
+        prof = Profiler()
+        with prof.zone("a.b.c"):
+            pass
+        snapshot = prof.snapshot()
+        assert "run_wall_ns" not in snapshot["meta"]
+        assert unattributed_share(snapshot) is None
+        assert "unattributed" not in render_report(snapshot)
+
+    def test_child_ns_counts_closed_zones_at_the_open_depth(self):
+        prof = Profiler()
+        assert prof.child_ns() == 0
+        with prof.zone("a.b.outer"):
+            with prof.zone("a.b.inner"):
+                pass
+            inner = prof.snapshot()["root"]["children"]["a.b.outer"]
+            assert prof.child_ns() == inner["children"]["a.b.inner"]["cum_ns"]
+        assert prof.child_ns() == total_ns(prof.snapshot())
+
+    def test_a_small_run_records_its_wall_and_zoned_time(self):
+        ctx = _nasa_context()
+        prof = Profiler()
+        result = simulate(
+            ctx.config(0.5, 0.5), ctx.log, ctx.failures, profiler=prof
+        )
+        meta = result.prof["meta"]
+        # Run at top level: the zoned time is every root zone's time.
+        assert meta["run_zoned_ns"] == total_ns(result.prof)
+        assert 0 < meta["run_zoned_ns"] <= meta["run_wall_ns"]
+        share = unattributed_share(result.prof)
+        assert share == 1.0 - meta["run_zoned_ns"] / meta["run_wall_ns"]
+        assert f"unattributed: {share * 100.0:.1f}%" in render_report(result.prof)
+
+    def test_a_run_inside_an_outer_zone_counts_only_its_own_zones(self):
+        ctx = _nasa_context()
+        prof = Profiler()
+        with prof.zone("experiments.runner.point"):
+            simulate(ctx.config(0.5, 0.5), ctx.log, ctx.failures, profiler=prof)
+        snapshot = prof.snapshot()
+        point = snapshot["root"]["children"]["experiments.runner.point"]
+        inside = sum(c["cum_ns"] for c in point["children"].values())
+        assert snapshot["meta"]["run_zoned_ns"] == inside
+        assert snapshot["meta"]["run_wall_ns"] <= point["cum_ns"]
