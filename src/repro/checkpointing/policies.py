@@ -24,15 +24,17 @@ and returns perform/skip; all timing bookkeeping lives in
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.prediction.base import Predictor
 
 
-@dataclass(frozen=True)
 class CheckpointDecisionContext:
     """Everything a policy may consult for one checkpoint request.
+
+    A slotted record built once per request (thousands per run), so it
+    sets plain attributes instead of paying a frozen dataclass's
+    ``object.__setattr__`` per field; policies treat it as read-only.
 
     Attributes:
         now: Request time ``b_i`` (seconds).
@@ -48,15 +50,32 @@ class CheckpointDecisionContext:
         predictor: The system's event predictor.
     """
 
-    now: float
-    job_id: int
-    nodes: Sequence[int]
-    interval: float
-    overhead: float
-    skipped_since_checkpoint: int
-    remaining_work: float
-    deadline: Optional[float]
-    predictor: Predictor
+    __slots__ = (
+        "now", "job_id", "nodes", "interval", "overhead",
+        "skipped_since_checkpoint", "remaining_work", "deadline", "predictor",
+    )
+
+    def __init__(
+        self,
+        now: float,
+        job_id: int,
+        nodes: Sequence[int],
+        interval: float,
+        overhead: float,
+        skipped_since_checkpoint: int,
+        remaining_work: float,
+        deadline: Optional[float],
+        predictor: Predictor,
+    ) -> None:
+        self.now = now
+        self.job_id = job_id
+        self.nodes = nodes
+        self.interval = interval
+        self.overhead = overhead
+        self.skipped_since_checkpoint = skipped_since_checkpoint
+        self.remaining_work = remaining_work
+        self.deadline = deadline
+        self.predictor = predictor
 
     @property
     def d(self) -> int:
@@ -85,7 +104,6 @@ class CheckpointDecisionContext:
         return projected <= self.deadline
 
 
-@dataclass(frozen=True)
 class CheckpointDecision:
     """A perform/skip decision plus the rationale that produced it.
 
@@ -93,6 +111,10 @@ class CheckpointDecision:
     to each checkpoint span/mark so audit trails can explain *why* work
     was or was not made durable — the attribution Xu et al. motivate for
     opportunistic checkpointing analyses.
+
+    A value: two decisions are equal when all four fields are.  Slotted,
+    with plain attribute sets, because one is made per checkpoint
+    request; treat it as read-only.
 
     Attributes:
         perform: True to perform the requested checkpoint.
@@ -103,10 +125,35 @@ class CheckpointDecision:
             policy weighed them.
     """
 
-    perform: bool
-    reason: str
-    failure_probability: Optional[float] = None
-    at_risk: Optional[float] = None
+    __slots__ = ("perform", "reason", "failure_probability", "at_risk")
+
+    def __init__(
+        self,
+        perform: bool,
+        reason: str,
+        failure_probability: Optional[float] = None,
+        at_risk: Optional[float] = None,
+    ) -> None:
+        self.perform = perform
+        self.reason = reason
+        self.failure_probability = failure_probability
+        self.at_risk = at_risk
+
+    def _fields(self) -> Tuple[bool, str, Optional[float], Optional[float]]:
+        return (self.perform, self.reason, self.failure_probability, self.at_risk)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CheckpointDecision):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (
+            f"CheckpointDecision(perform={self.perform!r}, "
+            f"reason={self.reason!r}, "
+            f"failure_probability={self.failure_probability!r}, "
+            f"at_risk={self.at_risk!r})"
+        )
 
 
 class CheckpointPolicy(abc.ABC):

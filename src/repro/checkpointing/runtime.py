@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 
 
 @dataclass
@@ -94,17 +94,21 @@ class JobRun:
         # Restoring from a checkpoint costs R before compute resumes.
         restore = self.recovery_overhead if self.saved_progress > 0 else 0.0
         self.segment_start = self.start_time + restore
-        registry = self.registry if self.registry is not None else NULL_REGISTRY
-        self._obs = registry.enabled
-        self._c_performed = registry.counter("checkpointing.runtime.performed")
-        self._c_skipped = registry.counter("checkpointing.runtime.skipped")
-        self._c_overhead = registry.counter(
-            "checkpointing.runtime.overhead_seconds"
-        )
-        self._c_kills = registry.counter("checkpointing.runtime.kills")
-        self._c_lost_wall = registry.counter(
-            "checkpointing.runtime.lost_wall_seconds"
-        )
+        # A run is made per start and restart: the counters are bound only
+        # for a live registry, and every use is gated on _obs.
+        registry = self.registry
+        self._obs = False
+        if registry is not None and registry.enabled:
+            self._obs = True
+            self._c_performed = registry.counter("checkpointing.runtime.performed")
+            self._c_skipped = registry.counter("checkpointing.runtime.skipped")
+            self._c_overhead = registry.counter(
+                "checkpointing.runtime.overhead_seconds"
+            )
+            self._c_kills = registry.counter("checkpointing.runtime.kills")
+            self._c_lost_wall = registry.counter(
+                "checkpointing.runtime.lost_wall_seconds"
+            )
 
     # ------------------------------------------------------------------
     # Derived quantities

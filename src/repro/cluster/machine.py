@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.node import Node, NodeState
-from repro.cluster.nodeset import NodeSet
+from repro.cluster.nodeset import NodeSet, mask_of
 from repro.cluster.reservations import ReservationLedger
 from repro.obs.prof import Profiler
 from repro.obs.registry import MetricsRegistry
@@ -61,6 +61,8 @@ class Cluster:
         else:
             self.ledger = ReservationLedger(node_count)
         self._job_nodes: Dict[int, List[int]] = {}
+        # Each running job's partition mask, built once at its start.
+        self._job_masks: Dict[int, int] = {}
         # Bit n is set while node n is down or busy: a start needs none of
         # its partition's bits set.
         self._blocked = 0
@@ -137,13 +139,14 @@ class Cluster:
             nodes[index].running_job = job_id
         self._blocked |= mask
         self._job_nodes[job_id] = ordered
+        self._job_masks[job_id] = mask
 
     def remove_job(self, job_id: int) -> List[int]:
         """Release a job's nodes (finish or kill); returns the node list."""
         node_indexes = self._job_nodes.pop(job_id, None)
         if node_indexes is None:
             raise KeyError(f"job {job_id} is not running")
-        freed = self._mask_of(node_indexes)
+        freed = self._job_masks.pop(job_id)
         for index in node_indexes:
             node = self._nodes[index]
             # A node that failed may already have been force-released.
@@ -199,12 +202,7 @@ class Cluster:
             IndexError: A node index at or past the cluster width.
             ValueError: A negative node index.
         """
-        if isinstance(node_indexes, NodeSet):
-            mask = node_indexes.mask()
-        else:
-            mask = 0
-            for index in node_indexes:
-                mask |= 1 << index
+        mask = mask_of(node_indexes)
         if mask >> len(self._nodes):
             raise IndexError(
                 f"node index out of range [0, {len(self._nodes)}) in "

@@ -38,6 +38,29 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union, o
 Run = Tuple[int, int]
 
 
+def mask_runs(mask: int, limit: Optional[int] = None) -> List[Run]:
+    """The set bits of ``mask`` (bit n = node n) as runs, lowest first,
+    stopping once ``limit`` nodes are covered (the last run trimmed to
+    fit); all of them when ``limit`` is None.
+
+    One step per run, not per node: adding a run's lowest bit carries
+    through the run and sets the first zero above it.
+    """
+    runs: List[Run] = []
+    left = -1 if limit is None else limit
+    while mask and left:
+        low = mask & -mask
+        top = (mask + low) & ~mask
+        lo = low.bit_length() - 1
+        hi = top.bit_length() - 1
+        if 0 < left < hi - lo:
+            hi = lo + left
+        runs.append((lo, hi))
+        left -= hi - lo
+        mask &= -top
+    return runs
+
+
 def _runs_from_sorted(values: Sequence[int]) -> List[Run]:
     """Group an ascending, duplicate-free index sequence into runs."""
     runs: List[Run] = []
@@ -55,9 +78,14 @@ def _runs_from_sorted(values: Sequence[int]) -> List[Run]:
 
 
 class NodeSet:
-    """An immutable set of node indexes stored as sorted interval runs."""
+    """An immutable set of node indexes stored as sorted interval runs.
 
-    __slots__ = ("_runs", "_starts", "_size", "_hash")
+    A set made by :meth:`from_mask` holds its bitmask and size only and
+    builds its runs on first use: a free-node query whose answer goes
+    straight to a mask-based placement never pays for them.
+    """
+
+    __slots__ = ("_runs", "_starts", "_size", "_hash", "_mask")
 
     def __init__(self, runs: Iterable[Run] = ()) -> None:
         """Build from *normalised* runs: sorted, non-empty, non-adjacent,
@@ -80,6 +108,16 @@ class NodeSet:
         self._starts: List[int] = [r[0] for r in run_list]
         self._size = size
         self._hash: Optional[int] = None
+        self._mask: Optional[int] = None
+
+    def __getattr__(self, name: str) -> object:
+        # Only reached for an unset slot: the runs of a mask-born set.
+        if name not in ("_runs", "_starts") or self._mask is None:
+            raise AttributeError(name)
+        runs = mask_runs(self._mask)
+        self._runs = tuple(runs)
+        self._starts = [r[0] for r in runs]
+        return object.__getattribute__(self, name)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -90,6 +128,16 @@ class NodeSet:
         if isinstance(nodes, NodeSet):
             return nodes
         return cls(_runs_from_sorted(sorted(set(nodes))))
+
+    @classmethod
+    def from_mask(cls, mask: int) -> "NodeSet":
+        """The set bits of ``mask`` (bit n = node n); O(1) besides the
+        population count, the runs are built on first use."""
+        nodes = cls.__new__(cls)
+        nodes._mask = mask
+        nodes._size = bin(mask).count("1")
+        nodes._hash = None
+        return nodes
 
     @classmethod
     def from_sorted(cls, values: Sequence[int]) -> "NodeSet":
@@ -219,11 +267,13 @@ class NodeSet:
 
     def mask(self) -> int:
         """The members as one int bitmask (bit n = node n), one block per
-        run."""
-        mask = 0
-        for start, stop in self._runs:
-            mask |= ((1 << (stop - start)) - 1) << start
-        return mask
+        run; kept once built."""
+        if self._mask is None:
+            mask = 0
+            for start, stop in self._runs:
+                mask |= ((1 << (stop - start)) - 1) << start
+            self._mask = mask
+        return self._mask
 
     @property
     def min_node(self) -> int:
@@ -314,6 +364,17 @@ class NodeSet:
             else:
                 return False
         return True
+
+
+def mask_of(nodes: Iterable[int]) -> int:
+    """The bitmask (bit n = node n) of ``nodes``, in any order: one block
+    per run of a :class:`NodeSet`, one OR per node otherwise."""
+    if isinstance(nodes, NodeSet):
+        return nodes.mask()
+    mask = 0
+    for node in nodes:
+        mask |= 1 << node
+    return mask
 
 
 def freeze_nodes(nodes: Iterable[int]) -> Sequence[int]:

@@ -9,26 +9,28 @@ Scoring every free node costs O(free · log free) scorer calls per
 selection.  When the scorer can say which few nodes may score above zero
 in a window (a :class:`WindowScorer`, e.g. the fault-aware scorer over a
 trace-backed evaluator: only nodes with a detectable failure in the window
-are *dirty*), the ranking is a merge instead:
+are *dirty*), the ranking works on the free set's bitmask instead (bit n =
+node n; the ledger's free-node query already holds it):
 
 * every unlisted (clean) node scores exactly ``0.0``, and listed nodes
   score ``>= 0.0``, so all zero-score nodes rank first, by index;
+* the *risky* nodes are the dirty ones that score above zero and whose
+  bit is free; a dirty node scoring exactly ``0.0`` stays clean;
 * the first ``size`` zero-score free nodes are therefore the *clean
-  prefix*: the lowest free indexes once the positive-score dirty nodes
-  are skipped — at most ``size + dirty`` members of ``free`` are visited;
-* any shortfall is filled from the positive-score dirty nodes in
-  ``(score, node)`` order.
+  prefix*: the lowest ``size`` set bits of ``free & ~risky``, read run by
+  run;
+* any shortfall is filled from the risky nodes in ``(score, node)`` order.
 
 That is exactly ``sorted(free, key=(score, node))[:size]``, sorted, for
-O(dirty · log runs + size) work instead of O(free) scorer calls.
+O(dirty · log dirty + runs of the prefix) work instead of O(free) scorer
+calls, and no per-member walk of the free set.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Callable, List, Sequence, Tuple
 
-from repro.cluster.nodeset import NodeSet
+from repro.cluster.nodeset import mask_of, mask_runs
 
 #: Scoring callback: (node, start, end) -> sort key; lower is preferred.
 NodeScorer = Callable[[int, float, float], float]
@@ -72,7 +74,8 @@ def best_nodes(
     """The ``size`` members of ``free`` ranked first by ``(score, node)``.
 
     Args:
-        free: Candidate nodes (a :class:`NodeSet` or any sequence).
+        free: Candidate nodes (a :class:`NodeSet`, whose mask is read
+            directly, or any sequence).
         size: Nodes wanted; all of ``free`` when it holds fewer.
         start: Window start, passed to the scorer.
         end: Window end, passed to the scorer.
@@ -88,14 +91,16 @@ def best_nodes(
     if not isinstance(scorer, WindowScorer):
         ranked = sorted(free, key=lambda n: (scorer(n, start, end), n))
         return sorted(ranked[:size]), len(free)
-    members = free if isinstance(free, NodeSet) else NodeSet.from_iterable(free)
-    risky = sorted(
-        (p, n) for n, p in scorer.window_terms(start, end) if p > 0.0 and n in members
-    )
-    skip = {n for _, n in risky}
-    # At most len(skip) of the first size + len(skip) members are skipped,
-    # so they hold the whole clean prefix.
-    prefix = [n for n in islice(members, size + len(skip)) if n not in skip][:size]
+    clean = mask_of(free)
+    terms = scorer.window_terms(start, end)
+    risky: List[Tuple[float, int]] = []
+    if terms:  # most windows have no dirty node at all
+        risky = sorted((p, n) for n, p in terms if p > 0.0 and clean >> n & 1)
+    for _, n in risky:
+        clean &= ~(1 << n)
+    prefix: List[int] = []
+    for lo, hi in mask_runs(clean, size):
+        prefix.extend(range(lo, hi))
     scored = len(prefix) + len(risky)
     need = size - len(prefix)
     if need <= 0:

@@ -33,30 +33,31 @@ the substrate"):
   four parallel lists: start, end, job id, and the booking's nodes as one
   Python-int bitmask.  A free-node query bisects on start for the
   bookings that begin before the window ends, ORs the masks of those that
-  end after it starts, and complements the result run by run with
-  lowest-set-bit arithmetic (:meth:`ReservationLedger.free_nodes_set`);
-  ``node_free`` and ``reserve``'s overlap check test the same busy mask,
-  and the last mask is reused until the next mutation (a ``reserve``
-  checks the window its caller just queried).  A query costs one C-level
-  pass over those bookings, each OR as wide as the widest mask so far
-  (one 30-bit digit per 30 nodes, however fragmented the partitions
-  are), plus one run step per free run, itself as wide as the mask.
-  First-fit ``find_slot`` complements only a low window that grows
-  until ``size`` free nodes fit, so its run steps cost the prefix, not
-  the cluster width.  Mutations find a booking by bisecting on its
-  start, then job id;
+  end after it starts, and returns the complement as a mask-born
+  :class:`NodeSet` (:meth:`ReservationLedger.free_nodes_set`): fault-aware
+  placement ranks on the mask itself and runs are built only for callers
+  that iterate the set.  ``node_free`` and ``reserve``'s overlap check
+  test the same busy mask, and the last mask is reused until the next
+  mutation (a ``reserve`` checks the window its caller just queried).  A
+  query costs one C-level pass over those bookings, each OR as wide as
+  the widest mask so far (one 30-bit digit per 30 nodes, however
+  fragmented the partitions are).  First-fit ``find_slot`` turns only a
+  low window of the free mask into runs, growing it until ``size`` free
+  nodes fit, so its run steps cost the prefix, not the cluster width.
+  Mutations find a booking by bisecting on its start, then job id;
 * the aggregate usage **skyline** — two parallel lists kept sorted in
   place by every mutation: the times at which the booked node count
   changes and the (nonzero) change at each.  A mutation bisects into
   them and adds to, inserts or deletes one entry; once per mutation
-  generation :meth:`ReservationLedger.profile` copies them into a
-  :class:`CapacityProfile` (flat ``array`` boundaries, and levels as a
-  running sum of the changes) with no sort.  Its
-  :meth:`~CapacityProfile.fitting_starts` walk hands callers only the
-  candidate starts that pass the capacity prefilter: it jumps straight
-  past every over-capacity stretch instead of testing each booking end
-  in it.  An over-capacity run ends where usage drops, and usage drops
-  only where some booking ends, so the jump always lands on a candidate.
+  generation the levels (a running sum of the changes) are recomputed.
+  :meth:`ReservationLedger.fitting_starts` runs the one skyline walk,
+  :func:`walk_fitting_starts`, over these lists with no copy; it hands
+  callers only the candidate starts that pass the capacity prefilter,
+  jumping straight past every over-capacity stretch instead of testing
+  each booking end in it.  An over-capacity run ends where usage drops,
+  and usage drops only where some booking ends, so the jump always lands
+  on a candidate.  :meth:`ReservationLedger.profile` materialises the
+  same skyline as a :class:`CapacityProfile` for ``max_usage`` callers.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from typing import (
     Union,
 )
 
-from repro.cluster.nodeset import NodeSet
+from repro.cluster.nodeset import NodeSet, mask_of, mask_runs
 from repro.cluster.ranking import NodeScorer, best_nodes
 from repro.obs.prof import NULL_PROFILER, Profiler
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
@@ -109,9 +110,9 @@ class CapacityProfile:
     boxed floats.
 
     Construct from a reservation list (one sort), or from an
-    already-sorted skyline via :meth:`from_skyline` (the ledger's
-    incremental path).  Both end in :meth:`_load`, so the buffers are
-    byte-identical for the same bookings.
+    already-sorted skyline via :meth:`from_levels` (the ledger's
+    incremental path); the buffers are byte-identical for the same
+    bookings.
     """
 
     def __init__(self, reservations: Sequence["Reservation"]) -> None:
@@ -123,21 +124,19 @@ class CapacityProfile:
         # Zero deltas (e.g. one booking ending exactly where another
         # starts) change no level and are dropped.
         times = sorted(t for t, d in deltas.items() if d)
-        self._load(times, [deltas[t] for t in times])
+        self._boundaries = array("d", times)
+        self._usage = array("q", accumulate(deltas[t] for t in times))
 
     @classmethod
-    def from_skyline(
-        cls, times: Sequence[float], deltas: Sequence[int]
+    def from_levels(
+        cls, times: Sequence[float], levels: Sequence[int]
     ) -> "CapacityProfile":
         """Materialise a profile from ascending change ``times`` and the
-        nonzero usage change at each."""
+        booked node count from each on (the ledger's incremental path)."""
         profile = cls.__new__(cls)
-        profile._load(times, deltas)
+        profile._boundaries = array("d", times)
+        profile._usage = array("q", levels)
         return profile
-
-    def _load(self, times: Sequence[float], deltas: Sequence[int]) -> None:
-        self._boundaries = array("d", times)
-        self._usage = array("q", accumulate(deltas))
 
     def max_usage(self, start: float, end: float) -> int:
         """Maximum booked node count over ``[start, end)``."""
@@ -160,73 +159,93 @@ class CapacityProfile:
         total: int,
         count: bool = False,
     ) -> Iterator[Tuple[float, int]]:
-        """The candidate starts whose window passes :meth:`window_fits`.
+        """The candidate starts whose window passes :meth:`window_fits`;
+        see :func:`walk_fitting_starts`."""
+        return walk_fitting_starts(
+            self._boundaries, self._usage, end_times, earliest, duration,
+            size, total, count,
+        )
 
-        Candidates are ``earliest`` plus every distinct value of the sorted
-        ``end_times`` above it — free capacity changes nowhere else, so
-        the earliest feasible start is always one of them.  Yields
-        ``(start, skipped)`` in ascending order for exactly the candidates
-        with ``window_fits(start, start + duration, size, total)``;
-        ``skipped`` is how many failing candidates came since the previous
-        yield, counted only when ``count`` is set (0 otherwise).  Nothing
-        is yielded when ``size > total``.
 
-        One skyline walk instead of a range maximum per candidate: from a
-        candidate ``t`` it scans the segments meeting ``[t, t+d)``.  On the
-        first one above ``total - size`` it jumps ``t`` to the end of that
-        over-capacity run — every candidate on the way has a window that
-        meets the run, so fails.  The run's end is a drop in usage, so some
-        booking ends there: it is itself a candidate.  Segments already
-        found under capacity are never rescanned, so a full walk costs
-        O(skyline + candidates) plus one bisection per yield.
+def walk_fitting_starts(
+    bounds: Sequence[float],
+    levels: Sequence[int],
+    end_times: Sequence[float],
+    earliest: float,
+    duration: float,
+    size: int,
+    total: int,
+    count: bool = False,
+) -> Iterator[Tuple[float, int]]:
+    """The one skyline walk: candidate starts whose window has room.
 
-        ``end_times`` is read lazily: do not mutate its owner mid-walk.
-        """
-        if size > total:
-            return
-        cap = total - size
-        bounds = self._boundaries
-        usage = self._usage
-        segments = len(usage)
-        ends = len(end_times)
-        t = earliest
-        nxt_end = bisect.bisect_right(end_times, t)
-        # Segments in [segment of t, scanned) are known to be <= cap.
-        scanned = max(bisect.bisect_right(bounds, t) - 1, 0)
-        skipped = 0
-        while True:
-            stop = t + duration
-            while (
-                scanned < segments
-                and bounds[scanned] < stop
-                and usage[scanned] <= cap
-            ):
-                scanned += 1
-            if scanned == segments or bounds[scanned] >= stop:
-                yield t, skipped
-                skipped = 0
-                if nxt_end == ends:
-                    return
-                t = end_times[nxt_end]
-                nxt_end = bisect.bisect_right(end_times, t, nxt_end)
-                scanned = max(scanned, bisect.bisect_right(bounds, t) - 1)
-                continue
-            # Segment `scanned` is over capacity.  The skyline ends at 0, so
-            # the run ends, dropping back to <= cap.
-            run_end = scanned + 1
-            while usage[run_end] > cap:
-                run_end += 1
-            jump = bounds[run_end]
-            if count:
-                skipped += 1  # t itself
-                last = t
-                for i in range(nxt_end, bisect.bisect_left(end_times, jump, nxt_end)):
-                    if end_times[i] > last:
-                        last = end_times[i]
-                        skipped += 1
-            t = jump
+    The skyline is ``levels[i]`` nodes booked on ``[bounds[i],
+    bounds[i+1])`` (zero before the first bound and from the last one on)
+    — a :class:`CapacityProfile`'s buffers, or the ledger's own sorted
+    lists.  Candidates are ``earliest`` plus every distinct value of the
+    sorted ``end_times`` above it — free capacity changes nowhere else, so
+    the earliest feasible start is always one of them.  Yields ``(start,
+    skipped)`` in ascending order for exactly the candidates whose window
+    ``[start, start + duration)`` never has more than ``total - size``
+    nodes booked (:meth:`CapacityProfile.window_fits`); ``skipped`` is how
+    many failing candidates came since the previous yield, counted only
+    when ``count`` is set (0 otherwise).  Nothing is yielded when ``size >
+    total``.
+
+    One walk instead of a range maximum per candidate: from a candidate
+    ``t`` it scans the segments meeting ``[t, t+d)``.  On the first one
+    above ``total - size`` it jumps ``t`` to the end of that over-capacity
+    run — every candidate on the way has a window that meets the run, so
+    fails.  The run's end is a drop in usage, so some booking ends there:
+    it is itself a candidate.  Segments already found under capacity are
+    never rescanned, so a full walk costs O(skyline + candidates) plus one
+    bisection per yield.
+
+    The sequences are read lazily: do not mutate their owner mid-walk.
+    """
+    if size > total:
+        return
+    cap = total - size
+    segments = len(levels)
+    ends = len(end_times)
+    t = earliest
+    nxt_end = bisect.bisect_right(end_times, t)
+    # Segments in [segment of t, scanned) are known to be <= cap.
+    scanned = max(bisect.bisect_right(bounds, t) - 1, 0)
+    skipped = 0
+    while True:
+        stop = t + duration
+        while (
+            scanned < segments
+            and bounds[scanned] < stop
+            and levels[scanned] <= cap
+        ):
+            scanned += 1
+        if scanned == segments or bounds[scanned] >= stop:
+            yield t, skipped
+            skipped = 0
+            if nxt_end == ends:
+                return
+            t = end_times[nxt_end]
             nxt_end = bisect.bisect_right(end_times, t, nxt_end)
-            scanned = run_end + 1
+            scanned = max(scanned, bisect.bisect_right(bounds, t) - 1)
+            continue
+        # Segment `scanned` is over capacity.  The skyline ends at 0, so
+        # the run ends, dropping back to <= cap.
+        run_end = scanned + 1
+        while levels[run_end] > cap:
+            run_end += 1
+        jump = bounds[run_end]
+        if count:
+            skipped += 1  # t itself
+            last = t
+            for i in range(nxt_end, bisect.bisect_left(end_times, jump, nxt_end)):
+                if end_times[i] > last:
+                    last = end_times[i]
+                    skipped += 1
+        t = jump
+        nxt_end = bisect.bisect_right(end_times, t, nxt_end)
+        scanned = run_end + 1
 
 
 @dataclass
@@ -291,6 +310,8 @@ class ReservationLedger:
         # Cache generations: every mutation bumps _version; the profile and
         # the sorted reservation view rebuild at most once per generation.
         self._version = 0
+        self._levels: List[int] = []
+        self._levels_version = -1
         self._profile: Optional[CapacityProfile] = None
         self._profile_version = -1
         # The last busy-mask answer, keyed by (generation, start, end).
@@ -356,27 +377,35 @@ class ReservationLedger:
         """The current capacity profile (cached between mutations).
 
         The sorted skyline lists are maintained in place by every
-        mutation; this method only copies them into boundary/level arrays
-        on the first call after a mutation.  During a negotiation dialogue
-        — hundreds of probes, zero mutations — every call after the first
-        is O(1).
+        mutation; this method copies them into boundary/level arrays on
+        the first call after a mutation.  The dialogue's skyline walk
+        (:meth:`fitting_starts`) reads the lists themselves and never
+        needs this copy; it serves :meth:`CapacityProfile.max_usage`
+        callers.
         """
+        levels = self._skyline_levels()
         if self._profile is None or self._profile_version != self._version:
+            self._profile = CapacityProfile.from_levels(self._sky_times, levels)
+            self._profile_version = self._version
+        return self._profile
+
+    def _skyline_levels(self) -> List[int]:
+        """Booked nodes on each skyline segment: the running sum of the
+        changes, computed once per mutation generation.  Every skyline
+        read goes through here, so the ``profile_cache_*`` counters count
+        one hit or miss per read."""
+        if self._levels_version != self._version:
             if self._prof:
                 with self._z_profile_rebuild:
-                    self._profile = CapacityProfile.from_skyline(
-                        self._sky_times, self._sky_deltas
-                    )
+                    self._levels = list(accumulate(self._sky_deltas))
             else:
-                self._profile = CapacityProfile.from_skyline(
-                    self._sky_times, self._sky_deltas
-                )
-            self._profile_version = self._version
+                self._levels = list(accumulate(self._sky_deltas))
+            self._levels_version = self._version
             if self._obs:
                 self._c_profile_misses.inc()
         elif self._obs:
             self._c_profile_hits.inc()
-        return self._profile
+        return self._levels
 
     # ------------------------------------------------------------------
     # Mutation
@@ -435,7 +464,7 @@ class ReservationLedger:
         # Ascending input: bounds-checking the extremes covers every node.
         self._check_node(node_seq[0])
         self._check_node(node_seq[-1])
-        mask = self._mask_of(node_seq)
+        mask = mask_of(node_seq)
         if not allow_overlap:
             clash = self._busy_mask(start, end) & mask
             if clash:
@@ -535,11 +564,12 @@ class ReservationLedger:
         return not (self._busy_mask(start, end) >> node) & 1
 
     def free_nodes_set(self, start: float, end: float) -> NodeSet:
-        """All nodes free throughout ``[start, end)``, as a run-length set.
+        """All nodes free throughout ``[start, end)``, as a :class:`NodeSet`.
 
         A window past the last booking end is free on every node with no
-        work at all; otherwise the busy mask of the overlapping bookings
-        is complemented run by run.
+        work at all; otherwise the set is the complement of the busy mask
+        of the overlapping bookings, kept as a mask (its runs are built
+        only if a caller iterates it).
         """
         if not self._prof:
             return self._free_nodes_set(start, end)
@@ -552,7 +582,7 @@ class ReservationLedger:
         busy = self._busy_mask(start, end)
         if not busy:
             return self._full
-        return self._runs(~busy & self._all, self._n)
+        return NodeSet.from_mask(~busy & self._all)
 
     def free_nodes(self, start: float, end: float) -> List[int]:
         """All nodes free throughout ``[start, end)``, ascending (legacy
@@ -607,11 +637,13 @@ class ReservationLedger:
     ) -> Iterator[Tuple[float, int]]:
         """The candidate starts (see :meth:`candidate_times`) whose window
         passes the capacity prefilter, as ``(start, skipped)`` pairs; see
-        :meth:`CapacityProfile.fitting_starts`.  Do not mutate the ledger
-        while consuming the walk.
+        :func:`walk_fitting_starts`, run over the ledger's own sorted
+        skyline with no copy.  Do not mutate the ledger while consuming
+        the walk.
         """
-        return self.profile().fitting_starts(
-            self._end_times, earliest, duration, size, self._n, count
+        return walk_fitting_starts(
+            self._sky_times, self._skyline_levels(), self._end_times,
+            earliest, duration, size, self._n, count,
         )
 
     def horizon(self) -> float:
@@ -738,39 +770,10 @@ class ReservationLedger:
             window = (1 << width) - 1
             free = (busy & window) ^ window
             if bin(free).count("1") >= size:
-                return self._runs(free, size)
+                return NodeSet(mask_runs(free, size))
             if width == self._n:
                 return None
             width *= 4
-
-    @staticmethod
-    def _mask_of(nodes: Sequence[int]) -> int:
-        """The bitmask (bit n = node n) of ascending, duplicate-free
-        ``nodes``: one block per run of a :class:`NodeSet`, one pass over
-        a byte buffer for any other sequence."""
-        if isinstance(nodes, NodeSet):
-            return nodes.mask()
-        buf = bytearray(nodes[-1] // 8 + 1)
-        for node in nodes:
-            buf[node >> 3] |= 1 << (node & 7)
-        return int.from_bytes(buf, "little")
-
-    @staticmethod
-    def _runs(free: int, limit: int) -> NodeSet:
-        """The set bits of ``free`` as a :class:`NodeSet`, stopping once
-        ``limit`` nodes are covered (the last run trimmed to fit)."""
-        runs: List[Tuple[int, int]] = []
-        while free and limit > 0:
-            # Adding the lowest set bit carries through its run of ones
-            # and sets the first zero above it.
-            low = free & -free
-            top = (free + low) & ~free
-            lo = low.bit_length() - 1
-            hi = min(top.bit_length() - 1, lo + limit)
-            runs.append((lo, hi))
-            limit -= hi - lo
-            free &= -top
-        return NodeSet(runs)
 
     def _index(self, start: float, job_id: int) -> int:
         """Position of ``(start, job_id)`` in the booking index: the

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.tracelog import NullRecorder, TraceRecorder
 from repro.checkpointing.policies import (
@@ -52,7 +52,7 @@ from repro.scheduling.queue import PendingStarts
 from repro.sim.calendar_queue import EVENT_QUEUE_KINDS
 from repro.sim.engine import EventLoop
 from repro.sim.events import Event, EventKind
-from repro.workload.job import Job, JobLog
+from repro.workload.job import Job
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,10 @@ class ProbabilisticQoSSystem:
 
     Args:
         config: System parameters.
-        workload: The job log to replay.
+        workload: The jobs to replay: a :class:`~repro.workload.job.JobLog`
+            or any iterable of jobs in nondecreasing arrival order (a
+            generator streams: the run pulls one job at a time, so the
+            event queue holds one pending arrival, not the whole log).
         failures: The failure trace to replay (must extend past the
             expected makespan; late-truncated traces simply mean a
             failure-free tail).
@@ -248,7 +251,7 @@ class ProbabilisticQoSSystem:
     def __init__(
         self,
         config: SystemConfig,
-        workload: JobLog,
+        workload: Iterable[Job],
         failures: FailureTrace,
         predictor: Optional[Predictor] = None,
         user: Optional[UserModel] = None,
@@ -354,8 +357,14 @@ class ProbabilisticQoSSystem:
         self._c_completed = self.registry.counter("core.system.jobs_completed")
         self._c_evacuations = self.registry.counter("core.system.evacuations")
         self._z_decide = self.profiler.zone("checkpointing.policy.decide")
+        # Every job pulled from the workload so far, in arrival order.
         self._states: Dict[int, _JobState] = {}
+        self._arrivals: Iterator[Job] = iter(())
+        self._last_arrival = 0.0
         self._pending = PendingStarts()
+        # Pulled jobs not yet finished.  The next unpulled job is pulled
+        # when the pending one arrives, so this is 0 exactly when no work
+        # remains in the whole workload.
         self._unfinished = 0
         self._failure_cursor = 0
         self._wakeup_scheduled = False
@@ -378,17 +387,40 @@ class ProbabilisticQoSSystem:
         register(EventKind.OBS_SAMPLE, self._on_obs_sample)
 
     def _prime(self) -> None:
-        for job in self.workload:
-            if job.size > self.config.node_count:
-                raise ValueError(
-                    f"job {job.job_id} needs {job.size} nodes on a "
-                    f"{self.config.node_count}-node cluster; clip the log first"
-                )
-            self.loop.schedule(job.arrival_time, EventKind.ARRIVAL, job_id=job.job_id)
-            self._states[job.job_id] = _JobState(job=job)
-            self.metrics.register_job(job)
-        self._unfinished = len(self.workload)
+        self._arrivals = iter(self.workload)
+        self._pull_arrival()
         self._schedule_next_failure()
+
+    def _pull_arrival(self) -> None:
+        """Admit the workload's next job, if any, and schedule its ARRIVAL.
+
+        Only ARRIVALs share the ARRIVAL tie-break rank, and they are
+        pulled in workload order, each with a later sequence number than
+        the one before: the dispatch order is the one a fully primed
+        queue would have.
+        """
+        job = next(self._arrivals, None)
+        if job is not None:
+            self._admit(job)
+            self.loop.schedule(job.arrival_time, EventKind.ARRIVAL, job_id=job.job_id)
+
+    def _admit(self, job: Job) -> None:
+        """Check a pulled job and create its state and outcome record."""
+        if job.size > self.config.node_count:
+            raise ValueError(
+                f"job {job.job_id} needs {job.size} nodes on a "
+                f"{self.config.node_count}-node cluster; clip the log first"
+            )
+        if job.arrival_time < self._last_arrival:
+            raise ValueError(
+                f"job {job.job_id} arrives at {job.arrival_time}, before the "
+                f"previous job's arrival at {self._last_arrival}; the "
+                "workload must be in arrival order"
+            )
+        self._last_arrival = job.arrival_time
+        self.metrics.register_job(job)
+        self._states[job.job_id] = _JobState(job=job)
+        self._unfinished += 1
 
     def _schedule_next_failure(self) -> None:
         """Lazily replay the failure trace while work remains."""
@@ -423,6 +455,10 @@ class ProbabilisticQoSSystem:
             self.sampler.sample(self.loop.now)
             self.loop.schedule_in(self.sampler.interval, EventKind.OBS_SAMPLE)
         self.loop.run(max_events=max_events)
+        # A bounded stop can leave jobs unpulled: admit them, so the
+        # metrics still cover the whole workload.
+        for job in self._arrivals:
+            self._admit(job)
         if self._obs:
             self._refresh_gauges()
             if self.sampler is not None:
@@ -432,7 +468,7 @@ class ProbabilisticQoSSystem:
             spans = self._span_builder.build(
                 end_time=self.loop.now,
                 meta={
-                    "workload_jobs": len(self.workload),
+                    "workload_jobs": len(self._states),
                     "events_processed": self.loop.processed_events,
                     "dispatch_counts": self.loop.dispatch_counts(),
                     "config": asdict(self.config),
@@ -443,7 +479,7 @@ class ProbabilisticQoSSystem:
             audit = self.audit.report(
                 meta={
                     "source": "live",
-                    "workload_jobs": len(self.workload),
+                    "workload_jobs": len(self._states),
                     "events_processed": self.loop.processed_events,
                 }
             )
@@ -456,7 +492,7 @@ class ProbabilisticQoSSystem:
             )
             prof = self.profiler.snapshot(
                 meta={
-                    "workload_jobs": len(self.workload),
+                    "workload_jobs": len(self._states),
                     "events_processed": self.loop.processed_events,
                 }
             )
@@ -476,6 +512,7 @@ class ProbabilisticQoSSystem:
     # ------------------------------------------------------------------
     def _on_arrival(self, event: Event) -> None:
         state = self._states[event.payload["job_id"]]
+        self._pull_arrival()
         job = state.job
         padded = job.padded_runtime(
             self.config.checkpoint_interval, self.config.checkpoint_overhead
@@ -594,10 +631,12 @@ class ProbabilisticQoSSystem:
         state.run_event = None
         now = self.loop.now
         run.reach_request(now)
+        # A running job occupies exactly its reserved partition, and the
+        # price depends only on membership: no copy of the node list.
         ctx = CheckpointDecisionContext(
             now=now,
             job_id=job_id,
-            nodes=self.cluster.nodes_of(job_id),
+            nodes=state.reserved_nodes,
             interval=self.config.checkpoint_interval,
             overhead=self.config.checkpoint_overhead,
             skipped_since_checkpoint=run.skipped_since_checkpoint,
@@ -917,7 +956,7 @@ class ProbabilisticQoSSystem:
 
 def simulate(
     config: SystemConfig,
-    workload: JobLog,
+    workload: Iterable[Job],
     failures: FailureTrace,
     predictor: Optional[Predictor] = None,
     user: Optional[UserModel] = None,

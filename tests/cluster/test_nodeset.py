@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.cluster.nodeset import NodeSet, freeze_nodes
+from repro.cluster.nodeset import NodeSet, freeze_nodes, mask_of, mask_runs
 
 
 # ----------------------------------------------------------------------
@@ -118,6 +118,33 @@ def test_slicing_matches_list_randomized():
         lo = rng.randrange(len(members) + 1)
         hi = rng.randrange(len(members) + 1)
         assert list(ns[lo:hi]) == members[lo:hi]
+
+
+def test_mask_born_set_matches_the_run_built_one_randomized():
+    # 200 bits: masks span several machine words.
+    rng = random.Random(3)
+    for _ in range(300):
+        members = sorted(rng.sample(range(200), rng.randint(0, 200)))
+        mask = sum(1 << n for n in members)
+        lazy = NodeSet.from_mask(mask)
+        built = NodeSet.from_sorted(members)
+        assert len(lazy) == len(members)
+        assert lazy.mask() == built.mask() == mask_of(members) == mask
+        # Runs are built on first use and then equal the eager ones.
+        assert lazy == built and lazy.runs == built.runs
+        assert list(lazy) == members and lazy == members
+        probe = rng.randrange(200)
+        assert (probe in NodeSet.from_mask(mask)) == (probe in members)
+        limit = rng.randint(0, len(members) + 1)
+        assert mask_runs(mask, limit) == list(built[:limit].runs)
+
+
+def test_mask_runs_trims_the_last_run():
+    assert mask_runs(0b1110110001) == [(0, 1), (4, 6), (7, 10)]
+    assert mask_runs(0b1110110001, 3) == [(0, 1), (4, 6)]
+    assert mask_runs(0b1110110001, 4) == [(0, 1), (4, 6), (7, 8)]
+    assert mask_runs(0b111, 0) == [] and mask_runs(0) == []
+    assert mask_of([9, 2, 4]) == mask_of(NodeSet.from_iterable([2, 4, 9])) == 532
 
 
 # ----------------------------------------------------------------------

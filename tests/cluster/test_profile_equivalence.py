@@ -11,7 +11,8 @@ ledger must
 * answer ``node_free``/``free_nodes``/``candidate_times`` identically,
 * walk exactly the candidate starts the per-candidate ``window_fits``
   filter keeps (:func:`_filtered_starts`, the oracle), with the same skip
-  counts,
+  counts — the ledger's walk runs over its own in-place skyline lists,
+  the seed's over a from-scratch profile,
 * reject exactly the ``reserve`` requests the seed rejects, naming the
   same node, and
 * return byte-identical ``find_slot`` results,
@@ -252,6 +253,15 @@ def test_walk_jumps_over_capacity_runs_and_duplicate_ends():
     walk = ledger.fitting_starts(10.0, 1.0, 2, count=True)
     assert list(walk) == [(15.0, 1), (20.0, 0)]
     assert list(ledger.fitting_starts(0.0, 1.0, 5)) == []  # wider than the cluster
+
+
+def test_walk_reads_the_ledger_skyline_without_a_profile_copy():
+    ledger = ReservationLedger(4)
+    ledger.reserve(1, [0, 1, 2], 0.0, 10.0)
+    ledger.reserve(2, [3], 5.0, 10.0)
+    walk = ledger.fitting_starts(0.0, 5.0, 2, count=True)
+    assert list(walk) == _filtered_starts(ledger, 0.0, 5.0, 2) == [(10.0, 1)]
+    assert ledger._profile is None  # no array copy of the skyline
 
 
 def test_first_fit_widens_its_window_past_busy_low_nodes():

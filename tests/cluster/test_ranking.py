@@ -197,6 +197,68 @@ class TestSparseSelection:
         assert registry.snapshot()["counters"]["scheduling.placement.nodes_scored"] == 7
 
 
+@st.composite
+def ledger_placements(draw):
+    """A real ledger's free set over a window, a sparse dirty-node list
+    (with ``p == 0.0`` entries and busy dirty nodes) and a size that often
+    exceeds the clean free nodes, so risky ones fill the shortfall."""
+    node_count = draw(st.sampled_from([128, 200]))
+    ledger = ReservationLedger(node_count)
+    bookings = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, node_count - 1), min_size=1, max_size=60),
+                st.integers(0, 8),
+                st.integers(1, 6),
+            ),
+            max_size=8,
+        )
+    )
+    for job_id, (nodes, start, length) in enumerate(bookings):
+        ledger.reserve(
+            job_id, nodes, start * HOUR, (start + length) * HOUR, allow_overlap=True
+        )
+    start = draw(st.integers(0, 10)) * HOUR
+    end = start + draw(st.integers(1, 4)) * HOUR
+    free = ledger.free_nodes_set(start, end)
+    terms = draw(
+        st.dictionaries(st.integers(0, node_count - 1), PX, max_size=40)
+    )
+    size = draw(
+        st.one_of(
+            st.integers(0, len(free)),
+            st.integers(max(0, len(free) - len(terms)), len(free)),
+        )
+    )
+    return free, size, start, end, sorted(terms.items())
+
+
+class TestMaskPlacement:
+    @settings(max_examples=200, deadline=None)
+    @given(ledger_placements())
+    def test_mask_ranking_equals_full_sort_and_counts_its_nodes(self, placement):
+        free, size, start, end, terms = placement
+        dirty = dict(terms)
+
+        def score(n, s, e):
+            return dirty.get(n, 0.0)
+
+        scorer = WindowScorer(score, lambda s, e: terms)
+        # First, while the ledger's set holds only its mask.
+        got = best_nodes(free, size, start, end, scorer)
+        expected = oracle_select(free, size, start, end, score)
+        clean_free = sum(1 for n in free if dirty.get(n, 0.0) == 0.0)
+        risky_free = sum(1 for n in free if dirty.get(n, 0.0) > 0.0)
+        scored_formula = min(size, clean_free) + risky_free
+        assert got == (expected, scored_formula)
+        assert best_nodes(list(free), size, start, end, scorer) == got
+        registry = MetricsRegistry()
+        topology = FlatTopology(200, registry=registry)
+        assert topology.select_partition(free, size, start, end, scorer) == expected
+        counters = registry.snapshot()["counters"]
+        assert counters["scheduling.placement.nodes_scored"] == scored_formula
+
+
 class TestWindowScan:
     @settings(max_examples=400, deadline=None)
     @given(scenarios(), st.integers(0, 14))

@@ -330,30 +330,6 @@ class TestEndToEndDeterminism:
         result = simulate(ctx.config(0.5, 0.5), ctx.log, ctx.failures)
         assert result.metrics.job_count == 10
 
-    def test_null_profiler_overhead_is_within_noise(self):
-        """The default (null) path times the same as an explicitly passed
-        NullProfiler — both must be the identical guarded fast path."""
-        ctx = _nasa_context(job_count=40)
-        config = ctx.config(0.5, 0.5)
-        simulate(config, ctx.log, ctx.failures)  # warm caches
-
-        def best_of(profiler, repeats=5):
-            best = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                simulate(config, ctx.log, ctx.failures, profiler=profiler)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        default = best_of(None)
-        null = best_of(NullProfiler())
-        # Identical code paths: minima agree within noise (2% + 2ms floor
-        # so a sub-100ms workload cannot flake on scheduler jitter).
-        assert abs(null - default) <= max(0.02 * max(null, default), 0.002), (
-            f"null-profiler path diverged: default {default:.4f}s "
-            f"vs null {null:.4f}s"
-        )
-
 
 class TestUnattributedShare:
     """The profile states how much of a run no zone covers."""
